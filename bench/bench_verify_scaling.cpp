@@ -13,7 +13,10 @@
 // budget and exits nonzero on regression beyond --tolerance (a
 // multiplier; default 1.25, use a generous value on shared/noisy
 // runners), replaying a 2-thread sweep against the budget's mt rows
-// under --mt-tolerance. A missing or unparsable budget exits 4 — a
+// under --mt-tolerance. The sweep's deterministic work counters (exact-
+// search nodes, walk hits, walk fallbacks) must equal the budget's
+// exactly, at any tolerance: they are host-independent, so that gate can
+// fail on every machine. A missing or unparsable budget exits 4 — a
 // distinct code so CI can tell "stale checkout" from "perf regression".
 #include <benchmark/benchmark.h>
 
@@ -249,6 +252,17 @@ MtPoint measure_mt_point(int reps, unsigned threads, bool pin) {
 // regression (exit 1) or a measurement failure (exit 2).
 constexpr int kBadBudgetExit = 4;
 
+// Work counters gated exactly against the budget (same on every host).
+struct ExactCounter {
+  const char* name;
+  std::uint64_t verify::CheckResult::*field;
+};
+constexpr ExactCounter kExactCounters[] = {
+    {"solver_search_nodes", &verify::CheckResult::solver_search_nodes},
+    {"solver_walk_hits", &verify::CheckResult::solver_walk_hits},
+    {"solver_walk_fallbacks", &verify::CheckResult::solver_walk_fallbacks},
+};
+
 int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
                   double tolerance, double mt_tolerance, int reps,
                   const std::vector<unsigned>& thread_sweep, bool pin) {
@@ -283,6 +297,16 @@ int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
                    "run `bench_verify_scaling --json=%s` to regenerate it\n",
                    smoke_path.c_str(), smoke_path.c_str());
       return kBadBudgetExit;
+    }
+    for (const ExactCounter& c : kExactCounters) {
+      const io::Json* v = budget.find(c.name);
+      if (v == nullptr || !v->is_int()) {
+        std::fprintf(stderr,
+                     "FATAL: perf budget %s lacks an integer %s — "
+                     "run `bench_verify_scaling --json=%s` to regenerate it\n",
+                     smoke_path.c_str(), c.name, smoke_path.c_str());
+        return kBadBudgetExit;
+      }
     }
   }
 
@@ -345,6 +369,21 @@ int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
   }
 
   if (!smoke_path.empty()) {
+    bool counters_match = true;
+    for (const ExactCounter& c : kExactCounters) {
+      const auto want =
+          static_cast<std::uint64_t>(budget.find(c.name)->as_int());
+      const std::uint64_t got = m.result.*c.field;
+      if (got != want) {
+        std::fprintf(stderr,
+                     "COUNTER MISMATCH: %s = %llu, budget records %llu\n",
+                     c.name, static_cast<unsigned long long>(got),
+                     static_cast<unsigned long long>(want));
+        counters_match = false;
+      }
+    }
+    if (!counters_match) return 1;
+    std::printf("perf smoke: work counters match the budget exactly\n");
     const io::Json* budget_ns = budget.find("ns_per_solve");
     const double allowed = budget_ns->as_double() * tolerance;
     std::printf("perf smoke: %.0f ns/solve measured vs %.0f budget "

@@ -275,7 +275,25 @@ HamResult HamiltonianSolver::solve_mask_core(int n_all, std::uint64_t allowed,
   // bigger budget) finds a path almost surely while staying exact: a
   // pass that finishes without hitting its budget proves kNone, and in
   // exact mode the final pass is unbounded.
+  //
+  // Order per mode: see hamiltonian.hpp. Budgeted mode above DP size tries
+  // one Pósa attempt before the DFS when its step cap is below the DFS
+  // budget: a positive the walk missed then skips up to dfs_budget nodes
+  // per start, and a negative pays the cap, less than one start's DFS.
+  // Pósa only adds found paths, so every verdict equals the DFS-first
+  // order's.
   const bool exact_mode = opts_.dfs_budget == 0;
+  const bool dp_sized = m <= opts_.dp_max_nodes && m <= 31;
+  constexpr std::uint64_t kPosaSeed = 11;
+  auto posa_steps = [m](std::size_t attempt) {
+    return (600ull << attempt) * static_cast<unsigned>(m) + 30000;
+  };
+  const bool posa_first =
+      !exact_mode && !dp_sized && opts_.dfs_budget > posa_steps(0);
+  if (posa_first &&
+      posa_masked(allowed, starts, ends, kPosaSeed, posa_steps(0))) {
+    return HamResult::kFound;
+  }
   std::uint64_t budgets[3];
   std::size_t num_budgets;
   if (exact_mode) {
@@ -309,21 +327,16 @@ HamResult HamiltonianSolver::solve_mask_core(int n_all, std::uint64_t allowed,
     if (r != HamResult::kUnknown) return r;
     // DP-sized instances go straight to the exact DP: cheaper than more
     // DFS and, unlike Pósa, it also proves absence.
-    if (m <= opts_.dp_max_nodes && m <= 31) {
-      return solve_dp_masked(allowed, starts, ends);
-    }
-    {
-      // The cheap deterministic pass came up empty-handed: try Pósa
-      // rotations before burning bigger DFS budgets — on positive
-      // instances it nearly always succeeds immediately. Fresh seeds and
-      // growing step caps at every escalation level.
-      const std::uint64_t base_seed = 11 + 64 * attempt;
-      const std::uint64_t steps =
-          (600ull << attempt) * static_cast<unsigned>(m) + 30000;
-      for (std::uint64_t seed = base_seed; seed < base_seed + 12; ++seed) {
-        if (posa_masked(allowed, starts, ends, seed, steps)) {
-          return HamResult::kFound;
-        }
+    if (dp_sized) return solve_dp_masked(allowed, starts, ends);
+    // The deterministic pass came up empty-handed: try Pósa rotations
+    // before burning bigger DFS budgets — on positive instances it nearly
+    // always succeeds immediately. Fresh seeds and growing step caps at
+    // every escalation level; a seed already tried above is skipped.
+    const std::uint64_t base_seed = kPosaSeed + 64 * attempt;
+    for (std::uint64_t seed = base_seed + (posa_first ? 1 : 0);
+         seed < base_seed + 12; ++seed) {
+      if (posa_masked(allowed, starts, ends, seed, posa_steps(attempt))) {
+        return HamResult::kFound;
       }
     }
   }
@@ -638,8 +651,10 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
     stack_.assign(1, std::countr_zero(allowed));
     return true;
   }
-  // Tuned on the Figure 14 sweep: 3 restarts x 120 steps finds ~99.99%
-  // of positive instances; everything else falls to the exact engine.
+  // Tuned on the Figure 14 sweep: 3 restarts x 120 steps settles nearly
+  // all of G(22,4)'s fault sets, fewer on larger instances (hit rates per
+  // instance: EXPERIMENTS.md, X-FALLBACK); the rest fall to the exact
+  // engine.
   constexpr int kMaxSteps = 120;
   constexpr int kRestarts = 3;
   WalkRng rng{seed ? seed : 0x243f6a8885a308d3ULL};

@@ -7,10 +7,18 @@
 //
 // Strategy: depth-first search with strong pruning — remaining-graph
 // connectivity, forced-terminal detection, isolated-node rejection and a
-// fewest-options-first successor order. With no node budget the search is
-// exhaustive and therefore exact. With a budget it may give up
-// (Result::kUnknown); callers fall back to the O(2^n · n) Held–Karp
-// dynamic program, which is exact for n <= kDpMaxNodes.
+// fewest-options-first successor order — escalated through a ladder:
+//   * exact mode (dfs_budget == 0): DFS passes of 2^12, 2^17 and 2^20
+//     nodes per start, each followed by the Held–Karp DP when m (the
+//     healthy-node count) is at most dp_max_nodes, else by 12 seeded Pósa
+//     rotation attempts; then one unbounded DFS pass, so it is exact;
+//   * budgeted mode (dfs_budget > 0, e.g. the exhaustive checker): when
+//     m > dp_max_nodes and the Pósa step cap 600·m + 30000 is below
+//     dfs_budget, one Pósa attempt (seed 11) first; then DFS(dfs_budget),
+//     then the DP when m is DP-sized, else the remaining Pósa seeds of
+//     the 12; it may give up (HamResult::kUnknown).
+// Pósa never proves absence, so every kNone comes from a DFS pass that
+// finished within its budget or from the DP.
 //
 // Two entry points share the same <=64-node mask engine: solve() takes a
 // graph::Graph (building the word-per-node adjacency on entry), while

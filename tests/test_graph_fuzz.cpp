@@ -3,11 +3,16 @@
 // exact DP on random instances.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <string>
 
+#include "graph/bit_adjacency.hpp"
 #include "graph/graph.hpp"
 #include "graph/hamiltonian.hpp"
 #include "graph/properties.hpp"
+#include "kgd/factory.hpp"
+#include "kgd/pipeline.hpp"
 #include "util/rng.hpp"
 
 namespace kgdp::graph {
@@ -159,6 +164,93 @@ TEST(HamiltonianFuzz, SparseNegativesProvenQuickly) {
     const auto res = hamiltonian_path(g, all, all);
     EXPECT_EQ(res.status, HamResult::kNone);
   }
+}
+
+// Checker-mode (budgeted) solves on seeded over-k fault sets of the §3.4
+// family G(n,4): the verdict stream, kUnknown included, is pinned
+// exactly, so a change to the escalation ladder that moves any verdict
+// fails here. Every kFound path is certified against the pipeline
+// definition and every kNone is re-decided by an exact-mode solve.
+TEST(HamiltonianFuzz, BudgetedVerdictStreamPinned) {
+  constexpr int kK = 4;
+  constexpr int kSetsPerSize = 12;
+  struct Case {
+    int n;
+    const char* verdicts;  // F/N/U per solve, |F| = k+1..k+6 in order
+  };
+  const Case cases[] = {
+      {30, "FFFFFFFFFFFF" "FFFFFFFFFFFF" "FFFFFFFFFFFF"
+           "FFFFFFNFNFFF" "FFFFFFFFFFFF" "NFFNFFFFFNFF"},
+      {36, "FFFFFFFFFFFF" "FFFFNFFFFFFF" "FFFFFFFFFFFF"
+           "FFFFFFFFFFFF" "FFFFFFFFFFUF" "FFNFFFFFFFFF"},
+      {40, "FFFFFFFFFFFF" "FFFFFFFFFFFF" "FFFFFFFFFFFF"
+           "FFFFFNFFFFFF" "FFFFFFFFNFFF" "FFFFFFFFFFFF"},
+  };
+  HamiltonianOptions budgeted;
+  budgeted.dfs_budget = std::uint64_t{1} << 20;
+  int unknowns = 0;
+  for (const Case& c : cases) {
+    const auto sg = kgd::build_solution(c.n, kK);
+    ASSERT_TRUE(sg.has_value());
+    const int num_nodes = sg->num_nodes();
+    ASSERT_LE(num_nodes, 64);
+    const BitAdjacency adj(sg->graph());
+    const std::span<const std::uint64_t> rows = adj.rows64();
+    std::uint64_t proc = 0, in = 0, out = 0;
+    for (Node v = 0; v < num_nodes; ++v) {
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      switch (sg->role(v)) {
+        case kgd::Role::kInput: in |= bit; break;
+        case kgd::Role::kOutput: out |= bit; break;
+        case kgd::Role::kProcessor: proc |= bit; break;
+      }
+    }
+    HamiltonianSolver solver(budgeted);
+    HamiltonianSolver exact;
+    util::Rng rng(0x5eed0000 + c.n);
+    std::string got;
+    for (int size = kK + 1; size <= kK + 6; ++size) {
+      for (int t = 0; t < kSetsPerSize; ++t) {
+        std::uint64_t faulty = 0;
+        while (std::popcount(faulty) < size) {
+          faulty |= std::uint64_t{1} << rng.next_below(num_nodes);
+        }
+        const std::uint64_t keep = proc & ~faulty;
+        const std::uint64_t in_ok = in & ~faulty;
+        const std::uint64_t out_ok = out & ~faulty;
+        std::uint64_t starts = 0, ends = 0;
+        for (std::uint64_t s = keep; s; s &= s - 1) {
+          const int v = std::countr_zero(s);
+          if (rows[v] & in_ok) starts |= std::uint64_t{1} << v;
+          if (rows[v] & out_ok) ends |= std::uint64_t{1} << v;
+        }
+        const HamResult r = solver.solve_masked(rows, keep, starts, ends);
+        got += "FNU"[static_cast<int>(r)];
+        if (r == HamResult::kUnknown) ++unknowns;
+        if (r == HamResult::kFound) {
+          const std::span<const Node> interior = solver.masked_path();
+          std::vector<Node> path{
+              std::countr_zero(rows[interior.front()] & in_ok)};
+          path.insert(path.end(), interior.begin(), interior.end());
+          path.push_back(std::countr_zero(rows[interior.back()] & out_ok));
+          std::vector<Node> fault_list;
+          for (std::uint64_t f = faulty; f; f &= f - 1) {
+            fault_list.push_back(std::countr_zero(f));
+          }
+          const kgd::FaultSet fs(num_nodes, std::move(fault_list));
+          const kgd::PipelineCheck check = kgd::check_pipeline(*sg, fs, path);
+          EXPECT_TRUE(check.ok) << "G(" << c.n << ",4) solve " << got.size()
+                                << ": " << check.error;
+        } else if (r == HamResult::kNone) {
+          EXPECT_EQ(exact.solve_masked(rows, keep, starts, ends),
+                    HamResult::kNone)
+              << "G(" << c.n << ",4) solve " << got.size();
+        }
+      }
+    }
+    EXPECT_EQ(got, c.verdicts) << "G(" << c.n << ",4)";
+  }
+  EXPECT_EQ(unknowns, 1);
 }
 
 }  // namespace
