@@ -197,6 +197,7 @@ RunOutcome CampaignRunner::run(const RunLimits& limits) {
         f["solver_patches"] = snap.solver_patches;
         f["solver_rebuilds"] = snap.solver_rebuilds;
         f["solver_search_nodes"] = snap.solver_search_nodes;
+        f["solver_posa_steps"] = snap.solver_posa_steps;
         f["solver_walk_hits"] = snap.solver_walk_hits;
         f["solver_walk_fallbacks"] = snap.solver_walk_fallbacks;
         f["cache_hits"] = snap.cache_hits;

@@ -51,6 +51,7 @@ void save_result(std::ostream& out, const verify::CheckResult& res) {
   out << " solver " << res.solver_patches << ' ' << res.solver_rebuilds << ' '
       << res.solver_search_nodes << ' ' << res.solver_scratch_bytes;
   out << " walk " << res.solver_walk_hits << ' ' << res.solver_walk_fallbacks;
+  out << " posa " << res.solver_posa_steps;
   out << " cache " << res.cache_hits << ' ' << res.cache_misses << ' '
       << res.cache_inserts << ' ' << res.cache_evictions;
   out << " workers " << res.worker_solve_seconds.size();
@@ -101,6 +102,10 @@ verify::CheckResult load_result(std::istream& in) {
     if (!(in >> res.solver_walk_hits >> res.solver_walk_fallbacks)) {
       fail("truncated walk counters");
     }
+    if (!(in >> word)) fail("truncated result");
+  }
+  if (word == "posa") {
+    if (!(in >> res.solver_posa_steps)) fail("truncated Pósa step counter");
     if (!(in >> word)) fail("truncated result");
   }
   if (word == "cache") {

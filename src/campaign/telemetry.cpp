@@ -29,6 +29,7 @@ io::Json check_result_to_json(const verify::CheckResult& res) {
   o["solver_patches"] = res.solver_patches;
   o["solver_rebuilds"] = res.solver_rebuilds;
   o["solver_search_nodes"] = res.solver_search_nodes;
+  o["solver_posa_steps"] = res.solver_posa_steps;
   o["solver_scratch_bytes"] = res.solver_scratch_bytes;
   // Batched-solver walk split and verdict-cache traffic (all zero when
   // the walk never ran / no cache was attached).

@@ -1,5 +1,6 @@
 #include "graph/hamiltonian.hpp"
 
+#include "graph/properties.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
@@ -22,14 +23,16 @@ namespace {
 // fast on dense/expander-like graphs (our solution graphs qualify), and
 // it is immune to the deep-backtrack traps that stall a Warnsdorff DFS.
 // Returns a full path with first node in `starts` and last in `ends`, or
-// nullopt if the step cap runs out. Never proves absence. This is the
-// >64-node variant; the mask engine has its own allocation-free port
-// (HamiltonianSolver::posa_masked) with the identical search sequence.
+// nullopt if the step cap runs out. Never proves absence. Adds the steps
+// it took to *steps_spent. This is the >64-node variant; the mask engine
+// has its own allocation-free port (HamiltonianSolver::posa_masked) with
+// the identical search sequence.
 std::optional<std::vector<Node>> posa_search(const Graph& g,
                                              const util::DynamicBitset& starts,
                                              const util::DynamicBitset& ends,
                                              std::uint64_t seed,
-                                             std::uint64_t max_steps) {
+                                             std::uint64_t max_steps,
+                                             std::uint64_t* steps_spent) {
   const int n = g.num_nodes();
   util::Rng rng(seed);
   std::vector<int> start_pool;
@@ -114,8 +117,12 @@ std::optional<std::vector<Node>> posa_search(const Graph& g,
       if (w < 0) break;
       rotate_at(w);
     }
-    if (ends.test(path.back())) return path;
+    if (ends.test(path.back())) {
+      *steps_spent += steps;
+      return path;
+    }
   }
+  *steps_spent += steps;
   return std::nullopt;
 }
 
@@ -628,8 +635,12 @@ bool HamiltonianSolver::posa_masked(std::uint64_t allowed,
       if (w < 0) break;
       rotate_at(w);
     }
-    if ((ends >> path.back()) & 1u) return true;
+    if ((ends >> path.back()) & 1u) {
+      posa_steps_total_ += steps;
+      return true;
+    }
   }
+  posa_steps_total_ += steps;
   return false;
 }
 
@@ -780,8 +791,8 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
   return false;
 }
 
-// Generic variant for graphs with more than 64 nodes (used by the
-// reconfiguration benches on large instances). Same search, DynamicBitset
+// Generic variant for graphs with more than 64 nodes (kgdd routes on
+// large instances, the reconfiguration benches). Same search, DynamicBitset
 // state. Exact when dfs_budget == 0. This path is outside exhaustive
 // certification reach (orbit pruning and the fault sweep cap at 64
 // nodes), so it keeps the simpler per-call allocations.
@@ -789,6 +800,30 @@ HamPath HamiltonianSolver::solve_large(const Graph& g,
                                        const util::DynamicBitset& starts,
                                        const util::DynamicBitset& ends) {
   const int n = g.num_nodes();
+  // Global necessary condition, as in the mask engine: the graph must be
+  // connected. Checked first, so a disconnected negative does not pay the
+  // Pósa attempt's cap.
+  if (!is_connected(g)) return {HamResult::kNone, {}};
+
+  // Order per mode: see hamiltonian.hpp. One Pósa attempt runs before the
+  // first DFS pass (always in exact mode, in budgeted mode when its step
+  // cap is below the budget): that pass costs milliseconds here and fails
+  // on nearly every positive instance, which the attempt settles in well
+  // under a millisecond; a negative pays the cap. Pósa only adds found
+  // paths, so every verdict equals the DFS-first order's.
+  constexpr std::uint64_t kPosaSeed = 21;
+  auto posa_cap = [n](std::size_t attempt) {
+    return (1000ull << attempt) * static_cast<unsigned>(n) + 50000;
+  };
+  const bool exact_mode = opts_.dfs_budget == 0;
+  const bool posa_first = exact_mode || opts_.dfs_budget > posa_cap(0);
+  if (posa_first) {
+    if (auto p = posa_search(g, starts, ends, kPosaSeed, posa_cap(0),
+                             &posa_steps_total_)) {
+      return {HamResult::kFound, std::move(*p)};
+    }
+  }
+
   std::vector<util::DynamicBitset> adj(n, util::DynamicBitset(n));
   for (Node u = 0; u < n; ++u) {
     for (Node v : g.neighbors(u)) adj[u].set(v);
@@ -918,7 +953,6 @@ HamPath HamiltonianSolver::solve_large(const Graph& g,
     return hit ? HamResult::kUnknown : HamResult::kNone;
   };
 
-  const bool exact_mode = opts_.dfs_budget == 0;
   std::vector<std::uint64_t> budgets;
   if (exact_mode) {
     budgets = {std::uint64_t{1} << 11, std::uint64_t{1} << 16,
@@ -935,12 +969,14 @@ HamPath HamiltonianSolver::solve_large(const Graph& g,
     // costs O(budget * n) here — minutes at n in the hundreds — whereas
     // rotations are O(n) per step, and on the dense positive instances
     // this solver sees, Pósa with enough fresh seeds essentially always
-    // lands. Step caps grow with the escalation level.
-    const std::uint64_t base_seed = 21 + 64 * attempt;
-    const std::uint64_t steps =
-        (1000ull << attempt) * static_cast<unsigned>(n) + 50000;
-    for (std::uint64_t seed = base_seed; seed < base_seed + 16; ++seed) {
-      auto p = posa_search(g, starts, ends, seed, steps);
+    // lands. Fresh seeds and growing step caps at every escalation level;
+    // the seed already tried above is skipped.
+    const std::uint64_t base_seed = kPosaSeed + 64 * attempt;
+    const bool seed_tried = posa_first && attempt == 0;
+    for (std::uint64_t seed = base_seed + (seed_tried ? 1 : 0);
+         seed < base_seed + 16; ++seed) {
+      auto p = posa_search(g, starts, ends, seed, posa_cap(attempt),
+                           &posa_steps_total_);
       if (p) return {HamResult::kFound, std::move(*p)};
     }
   }

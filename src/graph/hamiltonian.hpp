@@ -7,18 +7,32 @@
 //
 // Strategy: depth-first search with strong pruning — remaining-graph
 // connectivity, forced-terminal detection, isolated-node rejection and a
-// fewest-options-first successor order — escalated through a ladder:
+// fewest-options-first successor order — escalated through a ladder. The
+// <=64-node mask engine (m = healthy-node count):
 //   * exact mode (dfs_budget == 0): DFS passes of 2^12, 2^17 and 2^20
-//     nodes per start, each followed by the Held–Karp DP when m (the
-//     healthy-node count) is at most dp_max_nodes, else by 12 seeded Pósa
-//     rotation attempts; then one unbounded DFS pass, so it is exact;
+//     nodes per start, each followed by the Held–Karp DP when m is at
+//     most dp_max_nodes, else by 12 seeded Pósa rotation attempts (step
+//     cap 600·m + 30000, doubling the 600 per level); then one unbounded
+//     DFS pass, so it is exact;
 //   * budgeted mode (dfs_budget > 0, e.g. the exhaustive checker): when
 //     m > dp_max_nodes and the Pósa step cap 600·m + 30000 is below
 //     dfs_budget, one Pósa attempt (seed 11) first; then DFS(dfs_budget),
 //     then the DP when m is DP-sized, else the remaining Pósa seeds of
 //     the 12; it may give up (HamResult::kUnknown).
-// Pósa never proves absence, so every kNone comes from a DFS pass that
-// finished within its budget or from the DP.
+// The >64-node engine (n = node count; no DP):
+//   * a connectivity check (kNone when the graph is disconnected), then
+//     one Pósa attempt (seed 21, step cap 1000·n + 50000) — always in
+//     exact mode, in budgeted mode only when that cap is below
+//     dfs_budget (so the incremental repairer's small-budget window
+//     solves keep DFS first);
+//   * exact mode: DFS passes of 2^11, 2^16, 2^19 and 2^22 nodes per
+//     start, each followed by 16 Pósa seeds (level L: seeds 21 + 64·L
+//     onward, cap (1000 << L)·n + 50000; level 0 skips seed 21 when it
+//     already ran); then one unbounded DFS pass, so it is exact;
+//   * budgeted mode: DFS(dfs_budget), then the level-0 Pósa seeds; it
+//     may give up (HamResult::kUnknown).
+// Pósa never proves absence, so every kNone comes from a connectivity
+// check, a DFS pass that finished within its budget, or the DP.
 //
 // Two entry points share the same <=64-node mask engine: solve() takes a
 // graph::Graph (building the word-per-node adjacency on entry), while
@@ -106,6 +120,10 @@ class HamiltonianSolver {
   // solver perf-counter layer).
   std::uint64_t expansions() const { return expansions_total_; }
 
+  // Total Pósa rotation-search steps (posa_masked and the >64-node
+  // posa_search) across all calls; walk_masked steps are not counted.
+  std::uint64_t posa_steps() const { return posa_steps_total_; }
+
   // Bytes retained by the reusable scratch buffers (solver gauge).
   std::size_t scratch_bytes() const {
     return adj64_.capacity() * sizeof(std::uint64_t) +
@@ -153,6 +171,7 @@ class HamiltonianSolver {
   Node walk_path_[64];
   std::uint64_t expansions_ = 0;
   std::uint64_t expansions_total_ = 0;
+  std::uint64_t posa_steps_total_ = 0;
 };
 
 }  // namespace kgdp::graph

@@ -196,11 +196,14 @@ RouteAtlasFileInfo RouteAtlas::load(std::istream& in,
 // Router
 // ---------------------------------------------------------------------------
 
+// The group backs only the <=64-node orbit path; larger graphs are routed
+// directly (route()) and refused by build_atlas(), so they skip it.
 Router::Router(const kgd::SolutionGraph& sg, RouteAtlas* atlas)
     : sg_(sg),
       atlas_(atlas),
       graph_fp_(verify::graph_fingerprint(sg)),
-      autos_(graph::solution_automorphisms(sg)),
+      autos_(sg.num_nodes() <= 64 ? graph::solution_automorphisms(sg)
+                                  : graph::AutomorphismList{}),
       canon_(&autos_) {}
 
 std::vector<graph::Node> Router::compute_route(

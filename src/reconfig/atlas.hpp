@@ -152,6 +152,8 @@ class Router {
 
   const kgd::SolutionGraph& graph() const { return sg_; }
   std::uint64_t graph_fp() const { return graph_fp_; }
+  // The label-respecting automorphism group; trivial (not computed) for
+  // graphs over 64 nodes, which never use the orbit path.
   const graph::AutomorphismList& automorphisms() const { return autos_; }
   RouteAtlas* atlas() const { return atlas_; }
 

@@ -518,6 +518,7 @@ void Service::handle_stats(std::uint64_t conn, const Envelope& env) {
   solver["patches"] = solver_retired_.patches;
   solver["rebuilds"] = solver_retired_.rebuilds;
   solver["search_nodes"] = solver_retired_.search_nodes;
+  solver["posa_steps"] = solver_retired_.posa_steps;
   solver["walk_hits"] = solver_retired_.walk_hits;
   solver["walk_fallbacks"] = solver_retired_.walk_fallbacks;
   // Active batch setup kernel under the daemon's default dispatch —
@@ -1417,6 +1418,7 @@ void Service::destroy_session(const std::string& sid) {
     solver_retired_.patches += c.patches;
     solver_retired_.rebuilds += c.rebuilds;
     solver_retired_.search_nodes += c.search_nodes;
+    solver_retired_.posa_steps += c.posa_steps;
     solver_retired_.walk_hits += c.walk_hits;
     solver_retired_.walk_fallbacks += c.walk_fallbacks;
   }

@@ -137,26 +137,29 @@ struct CheckSession::Worker {
     kFromCache,      // cache hit: `statuses` already holds the verdict
   };
 
-  // Chunk-local counter accumulator, cache-line padded and private to
-  // this worker (the shared-atomic version of these counters was the
-  // measured false-sharing hot spot of the multi-core sweep). Reset at
-  // the top of each chunk, folded into the session counters
-  // single-threaded after the parallel region, so a cursor saved
-  // between chunks captures a consistent state. `best` stays a shared
-  // atomic: workers read it per slot for the cheap skip, so it must be
-  // globally fresh.
+  // Chunk-local cache-traffic accumulator, cache-line padded and private
+  // to this worker (the shared-atomic version of these counters was the
+  // measured false-sharing hot spot of the multi-core sweep).
   struct alignas(64) Counters {
-    std::uint64_t covered = 0;
-    std::uint64_t solved = 0;
-    std::uint64_t unknowns = 0;
     std::uint64_t c_hits = 0;
     std::uint64_t c_misses = 0;
     std::uint64_t c_inserts = 0;
     std::uint64_t c_evictions = 0;
   };
 
+  // Chunk-local counts of one run of consecutive blocks this worker swept
+  // in order; a steal or a claim gap starts a new run.
+  struct Run {
+    std::uint64_t first_slot = 0;
+    std::uint64_t covered = 0;
+    std::uint64_t solved = 0;
+    bool unknown = false;  // the run stopped at a kUnknown verdict
+  };
+
   PipelineSolver solver;
   Counters counters;
+  std::vector<Run> runs;
+  std::uint64_t last_block = 0;  // valid while `runs` is nonempty
   std::optional<fault::OrbitEnumerator::Sweep> sweep;
   double solve_seconds = 0.0;
   // Batched-sweep gather buffers: parallel arrays over the slots of one
@@ -312,64 +315,87 @@ void CheckSession::advance_exhaustive(std::uint64_t max_items) {
       std::min<std::uint64_t>(max_items, end_ - next_);
   const std::uint64_t chunk_begin = next_;
 
-  // Each worker accumulates into its own padded Worker::Counters block
-  // (no shared write traffic inside the parallel region, no per-chunk
-  // allocation); reset here, folded below once the chunk completes.
-  std::atomic<std::uint64_t> best{best_};
-  for (auto& w : workers_) w->counters = {};
-
-  auto run_item = [&](std::uint64_t offset, unsigned worker) {
-    const std::uint64_t slot = chunk_begin + offset;
-    const std::uint64_t index = orbits_->rep_index(slot);
-    // A lower-index failure is already recorded; this representative can
-    // no longer affect the verdict (cheap skip that preserves the
-    // lowest-index guarantee).
-    if (index > best.load(std::memory_order_acquire)) return;
-    Worker& ctx = *workers_[worker];
-    const util::Timer timer;
-    fault::OrbitEnumerator::Sweep& sweep = *ctx.sweep;
-    SolveOutcome out;
-    if (sweep.positioned() && sweep.slot() + 1 == slot) {
-      // Contiguous successor: step the sweep and patch the solver with
-      // the fault-set delta. Discontinuities (chunk boundaries, stolen
-      // ranges, cheap-skipped slots, resume) fall through to a full
-      // rebuild, which is what keeps verdicts independent of scheduling.
-      sweep.advance();
-      out = ctx.solver.patch(sg_, sweep.removed(), sweep.added());
-    } else {
-      sweep.seek(slot);
-      out = ctx.solver.solve_faults(sg_, sweep.nodes());
-    }
-    ctx.solve_seconds += timer.seconds();
-    ctx.counters.covered += orbits_->orbit_size(slot);
-    ++ctx.counters.solved;
-    const bool failed =
-        out.status == SolveStatus::kNone || out.status == SolveStatus::kUnknown;
-    if (out.status == SolveStatus::kUnknown) ++ctx.counters.unknowns;
-    if (failed) {  // unknowns are conservatively treated as failures
-      std::uint64_t cur = best.load(std::memory_order_relaxed);
-      while (index < cur && !best.compare_exchange_weak(
-                                cur, index, std::memory_order_acq_rel)) {
-      }
-    }
-  };
-
-  // Batched sweep: gather a block of contiguous colex slots (the sweep
-  // shim emits one fault mask per step), consult the verdict cache where
-  // attached, hand the rest to the solver in one lane-parallel pass, and
-  // fold counters in slot order. Counting truncates at the first failure
-  // exactly where the per-item path's cheap skip stops, so covered /
-  // solved / unknowns and the counterexample index are bit-identical to
-  // batch == 1; only the solver's own work counters may run up to a
-  // block past a counterexample (same class of overshoot as stealing).
+  // The chunk is swept in blocks of `batch` contiguous slots. On the
+  // <= 64-node fast path a block is one lane-parallel solver pass, with
+  // the verdict cache consulted first where attached; otherwise (larger
+  // graphs, or batch == 1) its slots are solved one by one. The
+  // work-stealing grid is over whole blocks, so a steal only transfers
+  // ownership at a block boundary: no stolen range splits a kernel pass,
+  // and each block's gather buffers live in exactly one worker.
   const std::uint32_t batch = std::max<std::uint32_t>(1, req_.options.batch);
   const bool batched = batch > 1 && sg_.num_nodes() <= 64;
   VerdictCache* cache = canon_.has_value() ? req_.options.cache : nullptr;
+  const std::uint64_t num_blocks = (chunk + batch - 1) / batch;
 
-  auto run_block = [&](std::uint64_t block, unsigned worker) {
-    Worker& ctx = *workers_[worker];
-    const std::uint64_t lo = chunk_begin + block * batch;
-    const std::uint64_t hi = std::min(chunk_begin + chunk, lo + batch);
+  // Each worker counts covered / solved / unknowns per run of blocks
+  // (Worker::Run) and cache traffic in its padded Worker::Counters
+  // block, so nothing is shared inside the parallel region. A block
+  // counts its slots in slot order and stops at its first failure, where
+  // the sequential sweep's cheap skip would stop. Both are reset here and
+  // folded single-threaded once the chunk completes, so a cursor saved
+  // between chunks captures a consistent state. `best` is a shared
+  // atomic: workers read it per slot for the cheap skip, so it must be
+  // globally fresh.
+  std::atomic<std::uint64_t> best{best_};
+  for (auto& w : workers_) {
+    w->counters = {};
+    w->runs.clear();
+  }
+
+  // A lower-index failure is already recorded: this representative, and
+  // every later one in its block, can no longer affect the verdict
+  // (cheap skip that preserves the lowest-index guarantee).
+  auto skipped = [&](std::uint64_t slot) {
+    return orbits_->rep_index(slot) > best.load(std::memory_order_acquire);
+  };
+  // Counts one settled slot in the worker's current run. Returns false on
+  // a failure (unknowns are conservatively treated as failures), after
+  // lowering `best`; the block stops there.
+  auto settle = [&](Worker::Run& run, std::uint64_t slot, bool from_cache,
+                    SolveStatus status) {
+    run.covered += orbits_->orbit_size(slot);
+    if (!from_cache) ++run.solved;
+    if (status == SolveStatus::kFound) return true;
+    run.unknown = status == SolveStatus::kUnknown;
+    const std::uint64_t index = orbits_->rep_index(slot);
+    std::uint64_t cur = best.load(std::memory_order_relaxed);
+    while (index < cur && !best.compare_exchange_weak(
+                              cur, index, std::memory_order_acq_rel)) {
+    }
+    return false;
+  };
+
+  auto run_items = [&](Worker& ctx, Worker::Run& run, std::uint64_t lo,
+                       std::uint64_t hi) {
+    fault::OrbitEnumerator::Sweep& sweep = *ctx.sweep;
+    for (std::uint64_t slot = lo; slot < hi && !skipped(slot); ++slot) {
+      const util::Timer timer;
+      SolveOutcome out;
+      if (sweep.positioned() && sweep.slot() + 1 == slot) {
+        // Contiguous successor: step the sweep and patch the solver with
+        // the fault-set delta. Discontinuities (block boundaries, stolen
+        // ranges, cheap-skipped slots, resume) fall through to a full
+        // rebuild, which is what keeps verdicts independent of scheduling.
+        sweep.advance();
+        out = ctx.solver.patch(sg_, sweep.removed(), sweep.added());
+      } else {
+        sweep.seek(slot);
+        out = ctx.solver.solve_faults(sg_, sweep.nodes());
+      }
+      ctx.solve_seconds += timer.seconds();
+      if (!settle(run, slot, false, out.status)) return;
+    }
+  };
+
+  // Batched block: gather the block's colex slots (the sweep shim emits
+  // one fault mask per step), consult the verdict cache where attached,
+  // hand the rest to the solver in one lane-parallel pass, and settle in
+  // slot order. Covered / solved / unknowns and the counterexample index
+  // are bit-identical to batch == 1; only the solver's own work counters
+  // may run up to a block past a counterexample (same class of overshoot
+  // as stealing).
+  auto run_batch = [&](Worker& ctx, Worker::Run& run, std::uint64_t lo,
+                       std::uint64_t hi) {
     fault::OrbitEnumerator::Sweep& sweep = *ctx.sweep;
     const util::Timer timer;
     ctx.slots.clear();
@@ -381,10 +407,7 @@ void CheckSession::advance_exhaustive(std::uint64_t max_items) {
     // mask when a cache is attached. Routes are provisional here —
     // kSolveAndStore means "cacheable", and the probe phase below
     // rewrites hits to kFromCache.
-    for (std::uint64_t slot = lo; slot < hi; ++slot) {
-      if (orbits_->rep_index(slot) > best.load(std::memory_order_acquire)) {
-        continue;  // cheap skip, as in run_item
-      }
+    for (std::uint64_t slot = lo; slot < hi && !skipped(slot); ++slot) {
       if (sweep.positioned() && sweep.slot() + 1 == slot) {
         sweep.advance();
       } else {
@@ -435,7 +458,6 @@ void CheckSession::advance_exhaustive(std::uint64_t max_items) {
     ctx.solve_seconds += timer.seconds();
     std::size_t sidx = 0;
     for (std::size_t i = 0; i < ctx.slots.size(); ++i) {
-      const std::uint64_t slot = ctx.slots[i];
       const bool from_cache = ctx.routes[i] == Worker::kFromCache;
       SolveStatus status;
       if (from_cache) {
@@ -451,53 +473,59 @@ void CheckSession::advance_exhaustive(std::uint64_t max_items) {
           }
         }
       }
-      ctx.counters.covered += orbits_->orbit_size(slot);
-      if (!from_cache) ++ctx.counters.solved;
-      if (status == SolveStatus::kFound) continue;
-      if (status == SolveStatus::kUnknown) ++ctx.counters.unknowns;
-      const std::uint64_t index = orbits_->rep_index(slot);
-      std::uint64_t cur = best.load(std::memory_order_relaxed);
-      while (index < cur && !best.compare_exchange_weak(
-                                cur, index, std::memory_order_acq_rel)) {
-      }
-      break;  // later block slots would all cheap-skip; stop counting
+      // Later block slots would all cheap-skip: stop at a failure.
+      if (!settle(run, ctx.slots[i], from_cache, status)) break;
     }
   };
 
-  if (batched) {
-    // The work-stealing grid is over whole blocks, so a steal can only
-    // transfer ownership at a batch boundary: no stolen range ever splits
-    // a kernel pass mid-batch, and each block's gather buffers live in
-    // exactly one worker. (Audited for the multi-core sweep — alignment
-    // holds by construction, no padding needed.)
-    const std::uint64_t num_blocks = (chunk + batch - 1) / batch;
-    if (req_.options.pool && num_blocks > 1) {
-      const util::StealStats stats =
-          util::parallel_for_stealing(*req_.options.pool, num_blocks,
-                                      run_block);
-      steal_count_ += stats.steals;
-    } else {
-      for (std::uint64_t b = 0; b < num_blocks; ++b) run_block(b, 0);
+  auto run_block = [&](std::uint64_t block, unsigned worker) {
+    Worker& ctx = *workers_[worker];
+    const std::uint64_t lo = chunk_begin + block * batch;
+    const std::uint64_t hi = std::min(chunk_begin + chunk, lo + batch);
+    if (ctx.runs.empty() || block != ctx.last_block + 1) {
+      ctx.runs.push_back(Worker::Run{lo});
     }
-  } else if (req_.options.pool && chunk > 1) {
+    ctx.last_block = block;
+    if (batched) {
+      run_batch(ctx, ctx.runs.back(), lo, hi);
+    } else {
+      run_items(ctx, ctx.runs.back(), lo, hi);
+    }
+  };
+
+  if (req_.options.pool && num_blocks > 1) {
     const util::StealStats stats =
-        util::parallel_for_stealing(*req_.options.pool, chunk, run_item);
+        util::parallel_for_stealing(*req_.options.pool, num_blocks,
+                                    run_block);
     steal_count_ += stats.steals;
   } else {
-    for (std::uint64_t i = 0; i < chunk; ++i) run_item(i, 0);
+    for (std::uint64_t b = 0; b < num_blocks; ++b) run_block(b, 0);
   }
 
   for (const auto& w : workers_) {
     const Worker::Counters& c = w->counters;
-    covered_ += c.covered;
-    solved_ += c.solved;
-    unknowns_ += c.unknowns;
     cache_hits_ += c.c_hits;
     cache_misses_ += c.c_misses;
     cache_inserts_ += c.c_inserts;
     cache_evictions_ += c.c_evictions;
   }
+  // Fold the runs that start at or before the failing slot. Under a
+  // pool, a run starting after it may have been counted before `best`
+  // was lowered; leaving it out keeps covered / solved / unknowns those
+  // of the sequential sweep whatever the schedule. The run holding the
+  // failing slot counts nothing after it: its worker lowered `best`
+  // there, so every later block of the run took the cheap skip. Runs are
+  // disjoint intervals of blocks, so the others lie wholly before the
+  // failure (all found) or wholly after it.
   best_ = best.load();
+  for (const auto& w : workers_) {
+    for (const Worker::Run& run : w->runs) {
+      if (orbits_->rep_index(run.first_slot) > best_) continue;
+      covered_ += run.covered;
+      solved_ += run.solved;
+      if (run.unknown) ++unknowns_;
+    }
+  }
   next_ = chunk_begin + chunk;
   // Representatives are index-ascending, so once a failure is recorded
   // every remaining slot would take the cheap skip; finish immediately
@@ -568,6 +596,7 @@ SolverCounters CheckSession::solver_totals() const {
   t.patches = base_patches_;
   t.rebuilds = base_rebuilds_;
   t.search_nodes = base_search_nodes_;
+  t.posa_steps = base_posa_steps_;
   t.walk_hits = base_walk_hits_;
   t.walk_fallbacks = base_walk_fallbacks_;
   for (const auto& w : workers_) {
@@ -576,6 +605,7 @@ SolverCounters CheckSession::solver_totals() const {
     t.patches += c.patches;
     t.rebuilds += c.rebuilds;
     t.search_nodes += c.search_nodes;
+    t.posa_steps += c.posa_steps;
     t.walk_hits += c.walk_hits;
     t.walk_fallbacks += c.walk_fallbacks;
     t.scratch_bytes += c.scratch_bytes;
@@ -592,6 +622,7 @@ CheckResult CheckSession::result() const {
   res.solver_patches = sc.patches;
   res.solver_rebuilds = sc.rebuilds;
   res.solver_search_nodes = sc.search_nodes;
+  res.solver_posa_steps = sc.posa_steps;
   res.solver_scratch_bytes = sc.scratch_bytes;
   res.solver_walk_hits = sc.walk_hits;
   res.solver_walk_fallbacks = sc.walk_fallbacks;
@@ -630,7 +661,7 @@ CheckResult CheckSession::result() const {
 }
 
 void CheckSession::save(std::ostream& out) const {
-  out << "kgdp-check-cursor 3\n";
+  out << "kgdp-check-cursor 4\n";
   out << "fingerprint " << fingerprint_ << '\n';
   out << "pos "
       << (req_.mode == CheckMode::kExhaustive ? next_ : next_item_) << '\n';
@@ -640,11 +671,11 @@ void CheckSession::save(std::ostream& out) const {
   // v2: cumulative solver engine counters, so a resumed run reports
   // totals rather than since-resume values (scratch_bytes is a live
   // gauge and is deliberately not persisted). v3 appends the walk-engine
-  // split and a verdict-cache traffic line.
+  // split and a verdict-cache traffic line; v4 the Pósa step count.
   const SolverCounters sc = solver_totals();
   out << "solver " << sc.patches << ' ' << sc.rebuilds << ' '
       << sc.search_nodes << ' ' << sc.walk_hits << ' ' << sc.walk_fallbacks
-      << '\n';
+      << ' ' << sc.posa_steps << '\n';
   out << "cache " << cache_hits_ << ' ' << cache_misses_ << ' '
       << cache_inserts_ << ' ' << cache_evictions_ << '\n';
   if (req_.mode == CheckMode::kExhaustive) {
@@ -676,7 +707,7 @@ void CheckSession::save(std::ostream& out) const {
 void CheckSession::restore(std::istream& in) {
   expect_keyword(in, "kgdp-check-cursor");
   int version = 0;
-  if (!(in >> version) || version < 1 || version > 3) {
+  if (!(in >> version) || version < 1 || version > 4) {
     throw std::runtime_error("check cursor: unsupported version");
   }
   const std::uint64_t fp = read_u64(in, "fingerprint");
@@ -691,10 +722,10 @@ void CheckSession::restore(std::istream& in) {
   unknowns_ = read_u64(in, "unknowns");
   // Solver counters: restored totals become the base; live worker
   // counters restart from zero (v1 cursors predate the counters, v2
-  // cursors predate the walk split and cache line).
+  // cursors predate the walk split and cache line, v3 the Pósa steps).
   for (auto& w : workers_) w->solver.reset_counters();
   base_patches_ = base_rebuilds_ = base_search_nodes_ = 0;
-  base_walk_hits_ = base_walk_fallbacks_ = 0;
+  base_walk_hits_ = base_walk_fallbacks_ = base_posa_steps_ = 0;
   cache_hits_ = cache_misses_ = cache_inserts_ = cache_evictions_ = 0;
   if (version >= 2) {
     expect_keyword(in, "solver");
@@ -704,6 +735,9 @@ void CheckSession::restore(std::istream& in) {
     if (version >= 3) {
       if (!(in >> base_walk_hits_ >> base_walk_fallbacks_)) {
         throw std::runtime_error("check cursor: bad walk counters");
+      }
+      if (version >= 4 && !(in >> base_posa_steps_)) {
+        throw std::runtime_error("check cursor: bad Pósa step counter");
       }
       expect_keyword(in, "cache");
       if (!(in >> cache_hits_ >> cache_misses_ >> cache_inserts_ >>
@@ -802,6 +836,7 @@ CheckResult merge_shard_results(const kgd::SolutionGraph& sg, int max_faults,
     out.solver_patches += s.solver_patches;
     out.solver_rebuilds += s.solver_rebuilds;
     out.solver_search_nodes += s.solver_search_nodes;
+    out.solver_posa_steps += s.solver_posa_steps;
     out.solver_scratch_bytes += s.solver_scratch_bytes;
   }
 

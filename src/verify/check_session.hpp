@@ -151,6 +151,7 @@ class CheckSession {
   // added on top (see solver_totals()).
   std::uint64_t base_patches_ = 0, base_rebuilds_ = 0, base_search_nodes_ = 0;
   std::uint64_t base_walk_hits_ = 0, base_walk_fallbacks_ = 0;
+  std::uint64_t base_posa_steps_ = 0;
 };
 
 // Merges per-shard results of a deterministically partitioned exhaustive

@@ -56,6 +56,7 @@ struct CheckResult {
   std::uint64_t solver_patches = 0;      // delta-applied fault updates
   std::uint64_t solver_rebuilds = 0;     // full fault-view rebuilds
   std::uint64_t solver_search_nodes = 0; // Hamiltonian DFS expansions
+  std::uint64_t solver_posa_steps = 0;   // Pósa rotation-search steps
   std::uint64_t solver_scratch_bytes = 0;// retained solver scratch (gauge)
   // Verdict-mode walk engine split: verdicts settled by the heuristic
   // walk vs decided by the exact search after a walk miss.
@@ -94,10 +95,13 @@ struct CheckOptions {
   // Fault sets handed to the solver per batched pass on the <= 64-node
   // fast path: the exhaustive sweep gathers contiguous colex runs of
   // this length and solves them lane-parallel (PipelineSolver::
-  // solve_batch). 1 = legacy per-item path. Verdicts and counterexample
-  // indices are bit-identical either way; on a failing run the batched
-  // sweep may do (and report) up to batch-1 extra solver invocations
-  // past the counterexample, like the work-stealing parallel sweep.
+  // solve_batch). 1 = legacy per-item path. Over 64 nodes slots are
+  // solved one by one and this is only the work-stealing block size.
+  // Verdicts, counterexample indices and the checked / solved / unknown
+  // counts are bit-identical either way; on a failing run the batched
+  // sweep may do up to batch-1 extra solver invocations past the
+  // counterexample (visible in the solver work counters only), like the
+  // work-stealing parallel sweep.
   std::uint32_t batch = 64;
   // Lane width for the batch setup kernel: 1/2/4/8/16 force a portable
   // width, 0 = auto (widest of AVX-512/AVX2/NEON the build and CPU

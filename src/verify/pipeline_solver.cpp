@@ -27,6 +27,16 @@ detail::BatchKernel resolve_kernel(const SolverOptions& opts) {
 PipelineSolver::PipelineSolver(SolverOptions opts)
     : opts_(opts), ham_(opts.ham), kernel_(resolve_kernel(opts)) {}
 
+template <class Search>
+auto PipelineSolver::counted(Search&& search) {
+  const std::uint64_t nodes_before = ham_.expansions();
+  const std::uint64_t posa_before = ham_.posa_steps();
+  auto result = search();
+  ctr_.search_nodes += ham_.expansions() - nodes_before;
+  ctr_.posa_steps += ham_.posa_steps() - posa_before;
+  return result;
+}
+
 // Rebuilds the cached adjacency/role view when the graph identity
 // changed. Identity is (address, node count, edge count): enough to catch
 // every legitimate rebinding in the codebase; callers juggling multiple
@@ -180,10 +190,9 @@ SolveStatus PipelineSolver::solve_lane(const detail::LaneSetup& lane,
     ++ctr_.walk_hits;
   } else {
     ++ctr_.walk_fallbacks;
-    const std::uint64_t before = ham_.expansions();
-    const graph::HamResult r =
-        ham_.solve_masked(rows, lane.keep, lane.starts, lane.ends);
-    ctr_.search_nodes += ham_.expansions() - before;
+    const graph::HamResult r = counted([&] {
+      return ham_.solve_masked(rows, lane.keep, lane.starts, lane.ends);
+    });
     if (r == graph::HamResult::kUnknown) return SolveStatus::kUnknown;
     if (r == graph::HamResult::kNone) return SolveStatus::kNone;
   }
@@ -254,9 +263,8 @@ SolveOutcome PipelineSolver::solve_fast() {
   }
   if (!starts || !ends) return {SolveStatus::kNone, std::nullopt};
 
-  const std::uint64_t before = ham_.expansions();
-  const graph::HamResult r = ham_.solve_masked(rows, keep, starts, ends);
-  ctr_.search_nodes += ham_.expansions() - before;
+  const graph::HamResult r =
+      counted([&] { return ham_.solve_masked(rows, keep, starts, ends); });
   switch (r) {
     case graph::HamResult::kUnknown:
       return {SolveStatus::kUnknown, std::nullopt};
@@ -370,9 +378,8 @@ SolveOutcome PipelineSolver::solve_general(const SolutionGraph& sg) {
     return {SolveStatus::kNone, std::nullopt};
   }
 
-  const std::uint64_t before = ham_.expansions();
-  const graph::HamPath hp_res = ham_.solve(sub, starts_bs_, ends_bs_);
-  ctr_.search_nodes += ham_.expansions() - before;
+  const graph::HamPath hp_res =
+      counted([&] { return ham_.solve(sub, starts_bs_, ends_bs_); });
   switch (hp_res.status) {
     case graph::HamResult::kUnknown:
       return {SolveStatus::kUnknown, std::nullopt};

@@ -29,8 +29,9 @@
 //     core that certifies heuristic positives and falls back to the
 //     exact search on misses.
 //   * perf counters — solves, patches vs rebuilds, Hamiltonian search
-//     nodes, walk hits vs fallbacks and retained scratch bytes, surfaced
-//     through the checker, campaign telemetry and kgdd stats.
+//     nodes, Pósa steps, walk hits vs fallbacks and retained scratch
+//     bytes, surfaced through the checker, campaign telemetry and kgdd
+//     stats.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +97,7 @@ struct SolverCounters {
   std::uint64_t patches = 0;       // delta-applied fault updates
   std::uint64_t rebuilds = 0;      // full fault-view rebuilds
   std::uint64_t search_nodes = 0;  // Hamiltonian DFS expansions
+  std::uint64_t posa_steps = 0;    // Pósa rotation-search steps
   std::uint64_t walk_hits = 0;     // verdicts settled by the walk engine
   std::uint64_t walk_fallbacks = 0;// walk missed; exact search decided
   std::uint64_t scratch_bytes = 0; // scratch currently retained (gauge)
@@ -149,6 +151,10 @@ class PipelineSolver {
   SolveOutcome solve_general(const SolutionGraph& sg);
   SolveStatus solve_lane(const detail::LaneSetup& lane,
                          std::uint64_t fault_mask);
+  // Runs one Hamiltonian search and charges its DFS nodes and Pósa steps
+  // to ctr_.
+  template <class Search>
+  auto counted(Search&& search);
   bool certify_fast(std::span<const graph::Node> interior, std::uint64_t keep,
                     std::uint64_t healthy_inputs,
                     std::uint64_t healthy_outputs) const;

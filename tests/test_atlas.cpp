@@ -25,6 +25,7 @@
 #include "kgd/factory.hpp"
 #include "kgd/pipeline.hpp"
 #include "reconfig/atlas.hpp"
+#include "reconfig/route.hpp"
 
 namespace kgdp::reconfig {
 namespace {
@@ -347,6 +348,30 @@ TEST(Router, LargeGraphsBypassTheAtlas) {
   EXPECT_EQ(atlas.size(), 0u);
   EXPECT_TRUE(kgd::check_pipeline(sg, faults, res.pipeline.path).ok);
   EXPECT_THROW(router.build_atlas(2, 0, 1), std::runtime_error);
+}
+
+// A router over a >64-node graph skips the automorphism group (only the
+// orbit path uses it) and still serves exactly what the constructive
+// router computes, fault set by fault set.
+TEST(Router, LargeGraphRoutesEqualRouteFamily) {
+  const kgd::SolutionGraph sg = build(66, 4);
+  ASSERT_GT(sg.num_nodes(), 64);
+  Router router(sg, nullptr);
+  EXPECT_TRUE(router.automorphisms().generators.empty());
+  EXPECT_EQ(router.automorphisms().order, 1u);
+  auto scratch = std::make_unique<fault::FaultCanonicalizer::Scratch>();
+  const std::vector<std::vector<graph::Node>> fault_lists = {
+      {}, {0}, {0, 17, 40}, {3, 30, 55, 69}, {70, 71, 72, 73}};
+  for (const auto& nodes : fault_lists) {
+    const kgd::FaultSet faults(sg.num_nodes(), nodes);
+    const Router::Result res = router.route(faults, *scratch);
+    const auto expected = route_family(sg, faults);
+    ASSERT_TRUE(expected.has_value()) << faults.to_string();
+    ASSERT_TRUE(res.feasible) << faults.to_string();
+    EXPECT_EQ(res.pipeline.path,
+              kgd::normalize_pipeline(sg, expected->path).path)
+        << faults.to_string();
+  }
 }
 
 }  // namespace

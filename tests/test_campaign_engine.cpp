@@ -131,6 +131,7 @@ TEST(Campaign, ResultSerializationRoundTripsExactly) {
   res.orbits_pruned = 11667;
   res.automorphism_order = 24;
   res.steal_count = 9;
+  res.solver_posa_steps = 834'608;
   res.worker_solve_seconds = {0.1, 3.14159265358979, 0.0};
   res.counterexample = kgd::FaultSet(7, {1, 3, 6});
   res.counterexample_index = 42;
@@ -139,6 +140,7 @@ TEST(Campaign, ResultSerializationRoundTripsExactly) {
   save_result(buf, res);
   const verify::CheckResult back = load_result(buf);
   expect_identical(res, back, "failing result");
+  EXPECT_EQ(back.solver_posa_steps, res.solver_posa_steps);
   ASSERT_EQ(back.worker_solve_seconds.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     // Bit-exact double round-trip, not printf-precision.

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "graph/properties.hpp"
 #include "kgd/factory.hpp"
 #include "kgd/small_n.hpp"
+#include "util/rng.hpp"
 
 namespace kgdp::verify {
 namespace {
@@ -144,6 +150,77 @@ TEST(PipelineSolver, GeneralPathReusedMappingsStayCorrect) {
     EXPECT_TRUE(kgd::check_pipeline(*sg, target, patched.pipeline->path).ok);
     EXPECT_EQ(patched.pipeline->path, ref.pipeline->path);
   }
+}
+
+// Graphs with more than 64 healthy processors go through the >64-node
+// Hamiltonian engine, which tries one Pósa attempt before its first DFS
+// pass. Pinned by work counters rather than wall clock: on a fixed
+// seeded list of 0..4-fault sets of G(66|72|80,4) every route is a
+// certified kFound settled without a single DFS node.
+TEST(PipelineSolver, LargeGraphRoutesSettleBeforeAnyDfsNode) {
+  util::Rng rng(13);
+  for (const int n : {66, 72, 80}) {
+    const auto sg = kgd::build_solution(n, 4);
+    ASSERT_TRUE(sg);
+    ASSERT_GT(sg->num_processors() - 4, 64);
+    PipelineSolver solver;  // find_pipeline's engine, kept for counters
+    for (int i = 0; i < 10; ++i) {
+      const FaultSet fs(
+          sg->num_nodes(),
+          rng.sample_without_replacement(sg->num_nodes(), i % 5));
+      const std::uint64_t nodes_before = solver.ham_expansions();
+      const std::uint64_t posa_before = solver.counters().posa_steps;
+      const auto out = solver.solve(*sg, fs);
+      const std::string tag =
+          "G(" + std::to_string(n) + ",4) " + fs.to_string();
+      ASSERT_EQ(out.status, SolveStatus::kFound) << tag;
+      EXPECT_TRUE(kgd::check_pipeline(*sg, fs, out.pipeline->path).ok) << tag;
+      EXPECT_EQ(solver.ham_expansions(), nodes_before) << tag;
+      EXPECT_GT(solver.counters().posa_steps, posa_before) << tag;
+      EXPECT_EQ(find_pipeline(*sg, fs).pipeline->path, out.pipeline->path)
+          << tag;
+    }
+  }
+}
+
+// The fall-through: fault all processor neighbours but one of a
+// processor with no terminal, leaving a connected processor graph with a
+// leaf that can be neither end of the path. The Pósa attempt runs to its
+// cap and a DFS pass must decide (kNone, from its forced-terminal check).
+TEST(PipelineSolver, LargeGraphNegativeFallsThroughToDfs) {
+  const auto sg = kgd::build_solution(80, 4);
+  ASSERT_TRUE(sg);
+  std::optional<FaultSet> leafy;
+  for (const graph::Node p : sg->processors()) {
+    std::vector<graph::Node> nb;
+    bool has_terminal = false;
+    for (const graph::Node w : sg->graph().neighbors(p)) {
+      if (sg->role(w) == Role::kProcessor) {
+        nb.push_back(w);
+      } else {
+        has_terminal = true;
+      }
+    }
+    if (has_terminal || nb.size() < 2) continue;
+    const FaultSet fs(sg->num_nodes(),
+                      std::vector<graph::Node>(nb.begin() + 1, nb.end()));
+    util::DynamicBitset healthy(sg->num_nodes());
+    for (const graph::Node v : sg->processors()) {
+      if (!fs.contains(v)) healthy.set(v);
+    }
+    const graph::Graph sub = sg->graph().induced_subgraph(healthy, nullptr);
+    if (sub.num_nodes() > 64 && graph::is_connected(sub)) {
+      leafy = fs;
+      break;
+    }
+  }
+  ASSERT_TRUE(leafy.has_value());
+  PipelineSolver solver;
+  const auto out = solver.solve(*sg, *leafy);
+  EXPECT_EQ(out.status, SolveStatus::kNone);
+  EXPECT_GT(solver.ham_expansions(), 0u);
+  EXPECT_GT(solver.counters().posa_steps, 0u);
+  EXPECT_EQ(find_pipeline_reference(*sg, *leafy).status, SolveStatus::kNone);
 }
 
 TEST(PipelineSolver, CountersTrackSolvePatchAndRebuild) {

@@ -174,6 +174,7 @@ TEST(Service, StreamingVerifyDeliversProgressThenVerdict) {
   ASSERT_NE(vd->find("solver_patches"), nullptr);
   ASSERT_NE(vd->find("solver_rebuilds"), nullptr);
   ASSERT_NE(vd->find("solver_search_nodes"), nullptr);
+  ASSERT_NE(vd->find("solver_posa_steps"), nullptr);
   EXPECT_GE(vd->find("solver_rebuilds")->as_int(), 1);
   EXPECT_EQ(vd->find("solver_patches")->as_int() +
                 vd->find("solver_rebuilds")->as_int(),
@@ -190,6 +191,9 @@ TEST(Service, StreamingVerifyDeliversProgressThenVerdict) {
             vd->find("solver_rebuilds")->as_int());
   EXPECT_EQ(solver->find("search_nodes")->as_int(),
             vd->find("solver_search_nodes")->as_int());
+  ASSERT_NE(solver->find("posa_steps"), nullptr);
+  EXPECT_EQ(solver->find("posa_steps")->as_int(),
+            vd->find("solver_posa_steps")->as_int());
   EXPECT_EQ(solver->find("solves")->as_int(),
             vd->find("fault_sets_solved")->as_int());
 }

@@ -245,9 +245,9 @@ TEST(SolverDifferential, ResumedShardedMergeMatchesUnsharded) {
   }
 }
 
-// Cursor v3 round-trips the engine counters (patch/rebuild/search plus
-// the walk split and cache traffic); v1 and v2 cursors still restore,
-// with the missing counters restarting from zero.
+// Cursor v4 round-trips the engine counters (patch/rebuild/search plus
+// the walk split, Pósa steps and cache traffic); v1, v2 and v3 cursors
+// still restore, with the missing counters restarting from zero.
 TEST(SolverDifferential, CursorCarriesSolverCountersAcrossResume) {
   const SolutionGraph sg = kgd::make_g3k(5);
   CheckRequest req;
@@ -260,7 +260,7 @@ TEST(SolverDifferential, CursorCarriesSolverCountersAcrossResume) {
   EXPECT_GT(before.patches + before.rebuilds, 0u);
   std::stringstream cursor;
   first.save(cursor);
-  EXPECT_NE(cursor.str().find("kgdp-check-cursor 3"), std::string::npos);
+  EXPECT_NE(cursor.str().find("kgdp-check-cursor 4"), std::string::npos);
   EXPECT_NE(cursor.str().find("solver "), std::string::npos);
   EXPECT_NE(cursor.str().find("cache "), std::string::npos);
 
@@ -273,13 +273,31 @@ TEST(SolverDifferential, CursorCarriesSolverCountersAcrossResume) {
             before.patches + before.rebuilds);
   EXPECT_GE(total.walk_hits + total.walk_fallbacks,
             before.walk_hits + before.walk_fallbacks);
+  EXPECT_GE(total.posa_steps, before.posa_steps);
   const CheckResult res = resumed.result();
   EXPECT_EQ(res.solver_patches + res.solver_rebuilds, res.fault_sets_solved);
+
+  // v3 acceptance: downgrade the header and drop the Pósa step count,
+  // the last field of the solver line.
+  std::string v3 = cursor.str();
+  v3.replace(v3.find("kgdp-check-cursor 4"), 19, "kgdp-check-cursor 3");
+  {
+    const auto pos = v3.find("\nsolver ");
+    ASSERT_NE(pos, std::string::npos);
+    const auto line_end = v3.find('\n', pos + 1);
+    const auto last_space = v3.rfind(' ', line_end);
+    v3.erase(last_space, line_end - last_space);
+  }
+  std::stringstream v3s(v3);
+  CheckSession mid3(sg, req);
+  mid3.restore(v3s);
+  mid3.run();
+  expect_same_verdict(resumed.result(), mid3.result(), "v3 cursor");
 
   // v2 acceptance: downgrade the header, truncate the solver line to its
   // v2 three fields, and drop the cache line.
   std::string v2 = cursor.str();
-  v2.replace(v2.find("kgdp-check-cursor 3"), 19, "kgdp-check-cursor 2");
+  v2.replace(v2.find("kgdp-check-cursor 4"), 19, "kgdp-check-cursor 2");
   {
     const auto pos = v2.find("\nsolver ");
     ASSERT_NE(pos, std::string::npos);
@@ -302,7 +320,7 @@ TEST(SolverDifferential, CursorCarriesSolverCountersAcrossResume) {
 
   // v1 acceptance: strip the solver and cache lines, downgrade header.
   std::string v1 = cursor.str();
-  v1.replace(v1.find("kgdp-check-cursor 3"), 19, "kgdp-check-cursor 1");
+  v1.replace(v1.find("kgdp-check-cursor 4"), 19, "kgdp-check-cursor 1");
   for (const char* line : {"\nsolver ", "\ncache "}) {
     const auto pos = v1.find(line);
     ASSERT_NE(pos, std::string::npos);

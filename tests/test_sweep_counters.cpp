@@ -1,15 +1,15 @@
 // Exact work-counter gate for the exhaustive sweep. Walk hits, walk
-// fallbacks and exact-search nodes are pure functions of the instance —
-// the walk seed comes from the fault mask and the fallback solver is
-// deterministic — so they are the same on every host, kernel width and
-// thread schedule. Pinning them makes a change in the walk split or in
-// the fallback's DFS/DP search nodes fail on any machine, unlike a
-// wall-clock budget. Pósa rotation steps are not counted, so a ladder
-// change that only spends more Pósa steps passes this gate.
+// fallbacks, exact-search nodes and Pósa steps are pure functions of the
+// instance — the walk seed comes from the fault mask and the fallback
+// solver is deterministic — so they are the same on every host, kernel
+// width and thread schedule. Pinning them makes a change in the walk
+// split, in the fallback's DFS/DP search nodes or in the Pósa steps it
+// spends fail on any machine, unlike a wall-clock budget.
 //
-// Two regimes: G(22,4) is walk-bound (six fallbacks, all DP-sized), and
-// G(36,4) is fallback-bound (859 misses on 40-node instances, above the
-// DP cutoff, where one Pósa attempt precedes the budgeted DFS).
+// Two regimes: G(22,4) is walk-bound (six fallbacks, all DP-sized, so no
+// Pósa step), and G(36,4) is fallback-bound (859 misses on 40-node
+// instances, above the DP cutoff, where one Pósa attempt precedes the
+// budgeted DFS).
 #include <gtest/gtest.h>
 
 #include "fault/enumerator.hpp"
@@ -25,11 +25,12 @@ struct Expected {
   std::uint64_t walk_hits;
   std::uint64_t walk_fallbacks;
   std::uint64_t search_nodes;
+  std::uint64_t posa_steps;
 };
 
 constexpr int kK = 4;
-constexpr Expected kG22{22, 66'706, 6, 425};
-constexpr Expected kG36{36, 250'317, 859, 1'492};
+constexpr Expected kG22{22, 66'706, 6, 425, 0};
+constexpr Expected kG36{36, 250'317, 859, 1'492, 834'608};
 
 void expect_counters(const Expected& e, util::ThreadPool* pool) {
   const auto sg = kgd::build_solution(e.n, kK);
@@ -47,6 +48,7 @@ void expect_counters(const Expected& e, util::ThreadPool* pool) {
   EXPECT_EQ(res.solver_walk_hits, e.walk_hits) << tag;
   EXPECT_EQ(res.solver_walk_fallbacks, e.walk_fallbacks) << tag;
   EXPECT_EQ(res.solver_search_nodes, e.search_nodes) << tag;
+  EXPECT_EQ(res.solver_posa_steps, e.posa_steps) << tag;
 }
 
 TEST(SweepCounters, WalkBoundG22SingleThreaded) {
