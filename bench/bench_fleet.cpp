@@ -82,10 +82,6 @@ FleetRow run_fleet(int n, int k, int max_faults, int workers,
   config.chunk = chunk;
   config.lease_grain = grain;
   config.checkpoint_path = checkpoint_path;
-  // The default 100ms transport tick is sized for WAN fleets riding out
-  // real outages; on loopback it would dominate every grant (a queued
-  // frame waits for the worker thread's next read-timeout tick).
-  config.poll_ms = 2;
   fleet::Coordinator coordinator(std::move(config));
 
   const util::Timer t;

@@ -261,6 +261,7 @@ constexpr ExactCounter kExactCounters[] = {
     {"solver_search_nodes", &verify::CheckResult::solver_search_nodes},
     {"solver_walk_hits", &verify::CheckResult::solver_walk_hits},
     {"solver_walk_fallbacks", &verify::CheckResult::solver_walk_fallbacks},
+    {"solver_posa_steps", &verify::CheckResult::solver_posa_steps},
 };
 
 int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
@@ -343,6 +344,7 @@ int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
     fields["solver_search_nodes"] = m.result.solver_search_nodes;
     fields["solver_walk_hits"] = m.result.solver_walk_hits;
     fields["solver_walk_fallbacks"] = m.result.solver_walk_fallbacks;
+    fields["solver_posa_steps"] = m.result.solver_posa_steps;
     fields["kernel_name"] = std::string(m.result.solver_kernel_name);
     fields["kernel_width"] = m.result.solver_kernel_width;
     fields["kernel_isa"] = std::string(m.result.solver_kernel_isa);

@@ -71,7 +71,6 @@ Coordinator::Coordinator(FleetConfig config,
   workers_.resize(config_.workers.size());
   WorkerPoolConfig pool_config;
   pool_config.reconnect = config_.reconnect;
-  pool_config.poll_ms = config_.poll_ms;
   WorkerPool::Callbacks callbacks;
   callbacks.on_connected = [this](int w) { on_connected(w); };
   callbacks.on_frame = [this](int w, io::Json frame) {
@@ -188,7 +187,15 @@ InstanceOutcome Coordinator::run_instance(const kgd::SolutionGraph& sg,
     }
     if (all_done_locked()) break;
     pump_locked();
-    cv_.wait_for(lock, std::chrono::milliseconds(config_.poll_ms));
+    if (!fatal_.empty()) continue;
+    // Every callback that changes what the pump would do notifies cv_;
+    // the one timed duty left is the next heartbeat deadline.
+    const double wait_ms = heartbeat_wait_ms_locked();
+    if (wait_ms < 0) {
+      cv_.wait(lock);
+    } else {
+      cv_.wait_for(lock, std::chrono::duration<double, std::milli>(wait_ms));
+    }
   }
   run_active_ = false;
 
@@ -344,6 +351,17 @@ bool Coordinator::all_done_locked() const {
     if (l.status != LeaseStatus::kDone) return false;
   }
   return true;
+}
+
+double Coordinator::heartbeat_wait_ms_locked() const {
+  double wait_ms = -1.0;
+  for (const Lease& l : leases_) {
+    if (l.status != LeaseStatus::kActive) continue;
+    const double left = std::max(
+        0.0, config_.heartbeat_timeout_ms - l.last_frame.millis());
+    if (wait_ms < 0 || left < wait_ms) wait_ms = left;
+  }
+  return wait_ms;
 }
 
 bool Coordinator::all_workers_dead_locked() const {
@@ -839,6 +857,12 @@ void Coordinator::handle_release_reply_locked(std::size_t li,
   Lease& l = leases_[li];
   if (!l.steal_pending) return;
   l.steal_pending = false;
+  // Either way the reply carries the victim's exact chunk-boundary
+  // position, so a retried steal splits what is really left.
+  l.items_done = field_u64(frame, "items_done", l.items_done);
+  const std::string cursor = field_str(frame, "cursor");
+  if (!cursor.empty()) l.cursor = cursor;
+  cv_.notify_all();  // the victim is stealable again
   const io::Json* applied = frame.find("applied");
   if (applied == nullptr || !applied->is_bool() || !applied->as_bool()) {
     return;  // the victim had already swept past the split point
@@ -847,9 +871,6 @@ void Coordinator::handle_release_reply_locked(std::size_t li,
   // tail becomes a fresh queued lease.
   const std::uint64_t old_end = l.end;
   const std::uint64_t new_end = field_u64(frame, "end", l.end);
-  l.items_done = field_u64(frame, "items_done", l.items_done);
-  const std::string cursor = field_str(frame, "cursor");
-  if (!cursor.empty()) l.cursor = cursor;
   if (new_end >= old_end || new_end < l.begin) return;  // nothing ceded
   l.end = new_end;
   Lease stolen;
@@ -865,7 +886,6 @@ void Coordinator::handle_release_reply_locked(std::size_t li,
   fields["begin"] = new_end;
   fields["end"] = old_end;
   emit_locked("lease_stolen", std::move(fields));
-  cv_.notify_all();
 }
 
 }  // namespace kgdp::fleet

@@ -65,9 +65,9 @@ struct FleetConfig {
   std::uint64_t min_steal_items = 256;
   // An active lease whose worker streams nothing for this long is
   // presumed lost: the connection is kicked and the lease requeued.
+  // It is also the pump's only timer: frames leave the moment they are
+  // queued, and every other state change wakes the pump directly.
   int heartbeat_timeout_ms = 10000;
-  // Pump/worker-thread tick.
-  int poll_ms = 100;
   // Per-outage reconnect schedule (exhaustion = worker written off).
   util::BackoffPolicy reconnect;
   // Durable lease-table checkpoint (fleet/checkpoint.hpp), written on
@@ -193,6 +193,9 @@ class Coordinator {
   std::size_t lease_from_frame_locked(const io::Json& frame, int w,
                                       bool* current);
   bool all_done_locked() const;
+  // Milliseconds until the earliest active lease's heartbeat deadline;
+  // negative when no lease is active (the pump then waits untimed).
+  double heartbeat_wait_ms_locked() const;
   bool all_workers_dead_locked() const;
   // Serializes the lease table and writes it durably (+ observer).
   // Failures set fatal_ instead of throwing: callers sit on worker

@@ -1,7 +1,7 @@
 #include "fleet/worker_pool.hpp"
 
-#include <chrono>
-#include <condition_variable>
+#include <poll.h>
+
 #include <thread>
 #include <utility>
 
@@ -14,7 +14,9 @@ struct WorkerPool::Worker {
   std::thread thread;
 
   mutable std::mutex mu;
-  std::condition_variable cv;
+  // Poked by send, kick and stop; ends the thread's connected read,
+  // backoff sleep or parked wait at once.
+  net::WakePipe wake;
   std::deque<std::string> outbox;  // serialized frames, sent in order
   bool stop = false;
   bool kicked = false;
@@ -23,6 +25,22 @@ struct WorkerPool::Worker {
   bool permanently_down = false;
   std::uint64_t connects = 0;
   std::uint64_t disconnects = 0;
+
+  // Sleeps on the wake pipe until stop() or the deadline, whichever
+  // comes first; true once stop is set. A poke from send or kick ends
+  // the poll early and the sleep resumes.
+  bool wait_for_stop(const net::Deadline& deadline) {
+    while (true) {
+      wake.drain();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (stop) return true;
+      }
+      if (deadline.expired()) return false;
+      pollfd pfd{wake.read_fd(), POLLIN, 0};
+      ::poll(&pfd, 1, deadline.remaining_ms());
+    }
+  }
 };
 
 WorkerPool::WorkerPool(std::vector<net::Endpoint> endpoints,
@@ -82,7 +100,7 @@ bool WorkerPool::send(int worker, io::Json frame) {
   std::lock_guard<std::mutex> lock(w.mu);
   if (!w.connected || w.stop) return false;
   w.outbox.push_back(frame.dump());
-  w.cv.notify_all();
+  w.wake.poke();
   return true;
 }
 
@@ -90,7 +108,7 @@ void WorkerPool::kick(int worker) {
   Worker& w = *at(worker);
   std::lock_guard<std::mutex> lock(w.mu);
   w.kicked = true;
-  w.cv.notify_all();
+  w.wake.poke();
 }
 
 void WorkerPool::stop() {
@@ -103,7 +121,7 @@ void WorkerPool::stop() {
   for (Worker* w : snapshot) {
     std::lock_guard<std::mutex> lock(w->mu);
     w->stop = true;
-    w->cv.notify_all();
+    w->wake.poke();
   }
 }
 
@@ -151,14 +169,10 @@ void WorkerPool::run_worker(int worker) {
         }
         // Park until stop: a permanently down worker never resurrects
         // inside one run (the coordinator has re-planned around it).
-        std::unique_lock<std::mutex> lock(w.mu);
-        w.cv.wait(lock, [&w] { return w.stop; });
+        w.wait_for_stop(net::Deadline::never());
         return;
       }
-      std::unique_lock<std::mutex> lock(w.mu);
-      w.cv.wait_for(lock, std::chrono::milliseconds(delay_ms),
-                    [&w] { return w.stop; });
-      if (w.stop) return;
+      if (w.wait_for_stop(net::Deadline::after_ms(delay_ms))) return;
     }
 
     {
@@ -173,6 +187,9 @@ void WorkerPool::run_worker(int worker) {
     // --- connected I/O loop ---
     std::string down_reason;
     while (true) {
+      // Drain before reading the mailbox: a poke that lands after the
+      // swap below stays pending and ends the read at once.
+      w.wake.drain();
       std::deque<std::string> to_send;
       {
         std::lock_guard<std::mutex> lock(w.mu);
@@ -193,8 +210,9 @@ void WorkerPool::run_worker(int worker) {
         }
       }
       if (send_failed) break;
-      net::Client::ReadResult res = client->read_frame(config_.poll_ms);
-      if (res.status == net::ReadStatus::kTimeout) continue;
+      net::Client::ReadResult res =
+          client->read_frame_by(net::Deadline::never(), w.wake.read_fd());
+      if (res.status == net::ReadStatus::kWoken) continue;
       if (res.status != net::ReadStatus::kOk) {
         down_reason = "read failed: " + res.error;
         break;

@@ -6,7 +6,10 @@
 // and queues outbound frames per worker; every scheduling decision
 // (grants, steals, reassignment, heartbeat deadlines) lives in
 // fleet::Coordinator, which serializes the callbacks under its own
-// lock. Callbacks fire on worker threads.
+// lock. Callbacks fire on worker threads. The transport is
+// event-driven: a connected thread blocks in one poll(2) on its socket
+// and a per-worker wake pipe, so send(), kick() and stop() take effect
+// at once instead of at the next read timeout.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +30,6 @@ struct WorkerPoolConfig {
   // Reconnect schedule per outage (reset after each successful
   // connect); exhausting it marks the worker permanently down.
   util::BackoffPolicy reconnect;
-  // Read/mailbox tick: bounds how stale a kick or outbound frame can go
-  // unnoticed, and the latency of stop().
-  int poll_ms = 100;
 };
 
 class WorkerPool {
@@ -62,14 +62,14 @@ class WorkerPool {
   // -1 after stop().
   int add_worker(net::Endpoint ep);
 
-  // Queues one frame on worker w's connection (its thread sends in
-  // order). False when the worker is not currently connected — queued
-  // frames never outlive a connection, so the caller must re-plan, not
-  // retry blindly.
+  // Queues one frame on worker w's connection (its thread wakes and
+  // sends in order). False when the worker is not currently connected
+  // — queued frames never outlive a connection, so the caller must
+  // re-plan, not retry blindly.
   bool send(int worker, io::Json frame);
 
-  // Asks worker w's thread to drop its connection at the next tick —
-  // the coordinator's heartbeat-timeout teeth. The thread reconnects
+  // Makes worker w's thread drop its connection now — the
+  // coordinator's heartbeat-timeout teeth. The thread reconnects
   // with a fresh backoff; on_down(transient) fires as for any outage.
   void kick(int worker);
 

@@ -56,6 +56,8 @@ const char* to_string(ReadStatus status) {
       return "oversized";
     case ReadStatus::kError:
       return "error";
+    case ReadStatus::kWoken:
+      return "woken";
   }
   return "error";
 }
@@ -122,7 +124,8 @@ Client::ReadResult Client::read_frame(int timeout_ms) {
                                       : Deadline::after_ms(timeout_ms));
 }
 
-Client::ReadResult Client::read_frame_by(const Deadline& deadline) {
+Client::ReadResult Client::read_frame_by(const Deadline& deadline,
+                                          int wake_fd) {
   ReadResult res;
   if (has_dup_) {
     has_dup_ = false;
@@ -166,8 +169,9 @@ Client::ReadResult Client::read_frame_by(const Deadline& deadline) {
       res.error = "frame exceeds the client size limit";
       return res;
     }
-    pollfd pfd{fd_.get(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, deadline.remaining_ms());
+    pollfd pfds[2] = {{fd_.get(), POLLIN, 0}, {wake_fd, POLLIN, 0}};
+    const int ready =
+        ::poll(pfds, wake_fd >= 0 ? 2 : 1, deadline.remaining_ms());
     if (ready == 0) {
       res.status = ReadStatus::kTimeout;
       res.error = "timeout";
@@ -177,6 +181,11 @@ Client::ReadResult Client::read_frame_by(const Deadline& deadline) {
       if (errno == EINTR) continue;
       res.status = ReadStatus::kError;
       res.error = std::string("poll: ") + std::strerror(errno);
+      return res;
+    }
+    if (pfds[0].revents == 0) {
+      // Only the wake fired; any partial frame stays in reader_.
+      res.status = ReadStatus::kWoken;
       return res;
     }
     char buf[16384];

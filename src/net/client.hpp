@@ -40,8 +40,9 @@ class Deadline {
 
 // Why a frame read failed — callers react differently to a server
 // that closed the connection (reconnect/resume) than to one that is
-// merely slow (wait longer), so the distinction is first-class.
-enum class ReadStatus { kOk, kTimeout, kClosed, kOversized, kError };
+// merely slow (wait longer), so the distinction is first-class. kWoken
+// is not a failure: the caller's wake fd fired (read_frame_by).
+enum class ReadStatus { kOk, kTimeout, kClosed, kOversized, kError, kWoken };
 const char* to_string(ReadStatus status);
 
 class Client {
@@ -68,8 +69,14 @@ class Client {
   ReadResult read_frame(int timeout_ms);
 
   // Deadline-aware variant: kTimeout once the absolute deadline passes,
-  // no matter how the bytes trickled in before it.
-  ReadResult read_frame_by(const Deadline& deadline);
+  // no matter how the bytes trickled in before it. A wake_fd >= 0 is
+  // polled alongside the socket: once it is readable and no complete
+  // frame is buffered, the read returns kWoken so a thread that also
+  // has frames to send is never stuck in a read. A buffered frame is
+  // always returned first, and a wake never consumes socket bytes — a
+  // partial frame stays buffered for the next call. The wake fd is
+  // only polled, never read; draining it is the caller's job.
+  ReadResult read_frame_by(const Deadline& deadline, int wake_fd = -1);
 
   // Legacy wrapper over read_frame: nullopt on any non-kOk status,
   // *error says which.

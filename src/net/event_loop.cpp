@@ -1,29 +1,12 @@
 #include "net/event_loop.hpp"
 
 #include <poll.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace kgdp::net {
-
-EventLoop::EventLoop() {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    std::perror("kgdp: EventLoop pipe");
-    std::abort();
-  }
-  wake_read_ = Fd(fds[0]);
-  wake_write_ = Fd(fds[1]);
-  set_nonblocking(wake_read_.get());
-  set_nonblocking(wake_write_.get());
-}
-
-EventLoop::~EventLoop() = default;
 
 void EventLoop::add(int fd, short events, IoCallback cb) {
   Entry& e = entries_[fd];
@@ -47,9 +30,7 @@ void EventLoop::post(std::function<void()> fn) {
     std::lock_guard lk(post_mu_);
     posted_.push_back(std::move(fn));
   }
-  // A full pipe already guarantees a pending wakeup; dropping is fine.
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_.get(), &byte, 1);
+  wake_.poke();
 }
 
 void EventLoop::post_after(int delay_ms, std::function<void()> fn) {
@@ -87,12 +68,6 @@ void EventLoop::stop() {
   post([this] { stop_requested_ = true; });
 }
 
-void EventLoop::drain_wake_pipe() {
-  char buf[256];
-  while (::read(wake_read_.get(), buf, sizeof buf) > 0) {
-  }
-}
-
 void EventLoop::run_posted() {
   // Swap under the lock; run outside it (tasks may post more tasks,
   // which land in the next swap).
@@ -118,7 +93,7 @@ void EventLoop::run() {
     }
 
     pfds.clear();
-    pfds.push_back(pollfd{wake_read_.get(), POLLIN, 0});
+    pfds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
     for (const auto& [fd, entry] : entries_) {
       if (entry.events != 0) pfds.push_back(pollfd{fd, entry.events, 0});
     }
@@ -126,7 +101,7 @@ void EventLoop::run() {
     const int ready = ::poll(pfds.data(), pfds.size(), poll_timeout_ms());
     if (ready < 0) continue;  // EINTR: fall through to the posted queue
 
-    if (pfds[0].revents != 0) drain_wake_pipe();
+    if (pfds[0].revents != 0) wake_.drain();
     for (std::size_t i = 1; i < pfds.size(); ++i) {
       if (pfds[i].revents == 0) continue;
       const auto it = entries_.find(pfds[i].fd);

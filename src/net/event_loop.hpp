@@ -23,8 +23,7 @@ class EventLoop {
   // Receives the poll revents bitmask that fired for the fd.
   using IoCallback = std::function<void(short)>;
 
-  EventLoop();
-  ~EventLoop();
+  EventLoop() = default;
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -54,7 +53,6 @@ class EventLoop {
   bool running() const { return running_; }
 
  private:
-  void drain_wake_pipe();
   void run_posted();
 
   struct Entry {
@@ -73,7 +71,7 @@ class EventLoop {
 
   std::map<int, Entry> entries_;
   std::vector<Timer> timers_;
-  Fd wake_read_, wake_write_;
+  WakePipe wake_;
   bool running_ = false;
   bool stop_requested_ = false;
 

@@ -2,7 +2,8 @@
 // coordinator's merged verdict must be bit-identical to a single-node
 // verify::run_check for every fleet shape — one worker, many workers
 // with steals enabled, a fleet with an unreachable member, and a worker
-// drained and restarted mid-lease (cursor-resumed reassignment). Plus
+// drained and restarted mid-lease (cursor-resumed reassignment) — and
+// dispatch latency under the default configuration. Plus
 // the wire-level epoch-fencing contract of `lease`/`lease.release` and
 // unit tests for the shared reconnect backoff schedule.
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "net/socket.hpp"
 #include "service/daemon.hpp"
 #include "util/backoff.hpp"
+#include "util/timer.hpp"
 #include "verify/checker.hpp"
 
 namespace kgdp {
@@ -216,6 +218,36 @@ TEST(Fleet, SingleWorkerMatchesLocal) {
   EXPECT_EQ(out.per_worker_solved[0], out.result.fault_sets_solved);
 }
 
+// Dispatch latency with the configuration users get: a queued grant must
+// leave as soon as the pump queues it. Forty sub-millisecond leases run
+// back to back on one worker, so a transport that sends only on a
+// periodic read tick pays one tick per lease (~4 s at 100 ms); the
+// bound leaves a wide margin above event-driven dispatch. Unpruned, so
+// no lease spends its time computing automorphisms.
+TEST(Fleet, DefaultConfigDispatchesLeasesWithoutTickLatency) {
+  const auto sg = kgd::build_solution(10, 3);
+  ASSERT_TRUE(sg.has_value());
+  WorkerDaemon worker(net::Endpoint::tcp("127.0.0.1", 0));
+  fleet::FleetConfig config;
+  config.workers = {worker.endpoint()};
+  config.lease_grain = 40;
+  fleet::Coordinator coordinator(std::move(config));
+  const util::Timer timer;
+  const fleet::InstanceOutcome out =
+      coordinator.run_instance(*sg, 10, 3, 3, verify::PruneMode::kOff);
+  const double seconds = timer.seconds();
+  verify::CheckOptions off;
+  off.prune = verify::PruneMode::kOff;
+  expect_identical(out.result,
+                   verify::run_check(
+                       *sg, verify::CheckRequest::exhaustive(3, off)),
+                   "default config");
+  EXPECT_EQ(out.leases_planned, 40u);
+  ASSERT_EQ(out.per_worker_leases.size(), 1u);
+  EXPECT_EQ(out.per_worker_leases[0], 40u + out.leases_stolen);
+  EXPECT_LT(seconds, 2.0) << out.leases_planned << " leases";
+}
+
 TEST(Fleet, TwoWorkersWithStealsMergeIdentically) {
   const auto sg = kgd::build_solution(3, 4);
   ASSERT_TRUE(sg.has_value());
@@ -280,7 +312,6 @@ TEST(Fleet, AllWorkersDownFailsTheRun) {
   config.reconnect.initial_delay_ms = 10;
   config.reconnect.max_attempts = 2;
   config.reconnect.budget_ms = 50;
-  config.poll_ms = 20;
   fleet::Coordinator coordinator(std::move(config));
   // The typed error is the CLI's documented exit-4 path: every endpoint
   // written off with leases outstanding and no listener for joiners.
@@ -330,7 +361,6 @@ TEST(Fleet, DrainedWorkerIsReassignedAfterRestart) {
   config.workers = {ep};
   config.chunk = 1;  // stream a cursor per item: fine-grained resume
   config.lease_grain = 2;
-  config.poll_ms = 20;
   fleet::Coordinator coordinator(std::move(config));
 
   fleet::InstanceOutcome out;
@@ -615,7 +645,6 @@ TEST(Fleet, JoinedWorkerCompletesTheRun) {
   config.listen = net::Endpoint::tcp("127.0.0.1", 0);
   config.chunk = 64;
   config.lease_grain = 2;
-  config.poll_ms = 20;
   fleet::Coordinator coordinator(std::move(config));
   ASSERT_GT(coordinator.listen_tcp_port(), 0);
 
@@ -673,7 +702,6 @@ TEST(Fleet, LeaveDrainsAtTheChunkBoundaryWithoutLosingSlots) {
   config.listen = net::Endpoint::tcp("127.0.0.1", 0);
   config.chunk = 1;  // a cursor per item: the drain hands back mid-lease
   config.lease_grain = 2;
-  config.poll_ms = 20;
   fleet::Coordinator coordinator(std::move(config));
   ASSERT_GT(coordinator.listen_tcp_port(), 0);
 

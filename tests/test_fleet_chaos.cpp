@@ -79,7 +79,6 @@ fleet::FleetConfig chaos_config(const net::Endpoint& worker) {
   config.workers = {worker};
   config.chunk = 16;
   config.lease_grain = 2;
-  config.poll_ms = 20;
   // A dropped grant or terminal frame is recovered by the heartbeat
   // kick; keep it short so each faulted run converges quickly.
   config.heartbeat_timeout_ms = 700;

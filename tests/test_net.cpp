@@ -1,19 +1,23 @@
 // Transport-layer tests: frame splitting (including the per-frame byte
-// cap), endpoint grammar, event-loop post/stop semantics, and a real
-// loopback echo through FrameServer + the blocking Client on both TCP
-// and a Unix-domain socket.
+// cap), endpoint grammar, event-loop post/stop semantics, the blocking
+// Client's wake fd (frames before wakes, partial frames kept, one fault
+// op per inbound frame), and a real loopback echo through FrameServer +
+// the blocking Client on both TCP and a Unix-domain socket.
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.hpp"
 #include "net/event_loop.hpp"
+#include "net/fault_inject.hpp"
 #include "net/framing.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
@@ -176,6 +180,134 @@ TEST(EventLoop, WatchedFdCallbackFires) {
   EXPECT_EQ(received, 'z');
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// A blocking Client wired to a raw server-side socket the test writes
+// bytes into directly, so frame boundaries land exactly where a case
+// wants them.
+struct RawConnection {
+  std::string path;
+  Fd server;
+  std::optional<Client> client;
+
+  explicit RawConnection(const std::string& name)
+      : path(::testing::TempDir() + name + "_" +
+             std::to_string(::getpid()) + ".sock") {
+    std::string error;
+    Fd listener = listen_endpoint(Endpoint::unix_path(path), 1, &error);
+    EXPECT_TRUE(listener.valid()) << error;
+    client = Client::connect(Endpoint::unix_path(path), &error);
+    EXPECT_TRUE(client.has_value()) << error;
+    pollfd pfd{listener.get(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 10000), 1);
+    server = Fd(::accept(listener.get(), nullptr, nullptr));
+    EXPECT_TRUE(server.valid());
+  }
+  ~RawConnection() { ::unlink(path.c_str()); }
+
+  void write(const std::string& bytes) {
+    ASSERT_EQ(::write(server.get(), bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+};
+
+TEST(ClientWake, BufferedFramesAreReturnedBeforeAPendingWake) {
+  RawConnection conn("test_net_wake_order");
+  WakePipe wake;
+  conn.write("one\ntwo\n");
+  wake.poke();
+  // Both frames arrive in one read; each is handed out before the wake.
+  auto first = conn.client->read_frame_by(Deadline::after_ms(10000),
+                                          wake.read_fd());
+  ASSERT_EQ(first.status, ReadStatus::kOk) << first.error;
+  EXPECT_EQ(first.frame, "one");
+  auto second = conn.client->read_frame_by(Deadline::after_ms(10000),
+                                           wake.read_fd());
+  ASSERT_EQ(second.status, ReadStatus::kOk) << second.error;
+  EXPECT_EQ(second.frame, "two");
+  // Nothing buffered now: the still-pending wake ends the read.
+  EXPECT_EQ(conn.client
+                ->read_frame_by(Deadline::after_ms(10000), wake.read_fd())
+                .status,
+            ReadStatus::kWoken);
+}
+
+TEST(ClientWake, WakeWithoutDataReturnsPromptlyAndLeavesTheNextFrame) {
+  RawConnection conn("test_net_wake_idle");
+  WakePipe wake;
+  wake.poke();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(conn.client
+                ->read_frame_by(Deadline::after_ms(10000), wake.read_fd())
+                .status,
+            ReadStatus::kWoken);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(5));
+  wake.drain();
+  conn.write("after\n");
+  auto res = conn.client->read_frame_by(Deadline::after_ms(10000),
+                                        wake.read_fd());
+  ASSERT_EQ(res.status, ReadStatus::kOk) << res.error;
+  EXPECT_EQ(res.frame, "after");
+  // Drained and idle: the read now waits out its deadline.
+  EXPECT_EQ(conn.client->read_frame_by(Deadline::after_ms(20), wake.read_fd())
+                .status,
+            ReadStatus::kTimeout);
+}
+
+TEST(ClientWake, PartialFrameStraddlingAWakeIsReassembled) {
+  RawConnection conn("test_net_wake_partial");
+  WakePipe wake;
+  conn.write("hel");
+  wake.poke();
+  EXPECT_EQ(conn.client
+                ->read_frame_by(Deadline::after_ms(10000), wake.read_fd())
+                .status,
+            ReadStatus::kWoken);
+  wake.drain();
+  conn.write("lo\n");
+  auto res = conn.client->read_frame_by(Deadline::after_ms(10000),
+                                        wake.read_fd());
+  ASSERT_EQ(res.status, ReadStatus::kOk) << res.error;
+  EXPECT_EQ(res.frame, "hello");
+}
+
+TEST(ClientWake, FaultInjectorSeesOneOpPerInboundFrameAcrossWakes) {
+  RawConnection conn("test_net_wake_faults");
+  WakePipe wake;
+  FaultInjector& faults = FaultInjector::instance();
+
+  FaultSpec dup;
+  dup.dup_at = 0;
+  faults.arm(dup);
+  conn.write("twice\n");
+  wake.poke();
+  for (int i = 0; i < 2; ++i) {
+    auto res = conn.client->read_frame_by(Deadline::after_ms(10000),
+                                          wake.read_fd());
+    ASSERT_EQ(res.status, ReadStatus::kOk) << res.error;
+    EXPECT_EQ(res.frame, "twice");
+  }
+  EXPECT_EQ(conn.client
+                ->read_frame_by(Deadline::after_ms(10000), wake.read_fd())
+                .status,
+            ReadStatus::kWoken);
+  EXPECT_EQ(faults.ops(), 1u);  // the replay and the wake are not ops
+
+  FaultSpec drop;
+  drop.drop_at = 0;
+  faults.arm(drop);
+  conn.write("gone\nkept\n");
+  auto res = conn.client->read_frame_by(Deadline::after_ms(10000),
+                                        wake.read_fd());
+  ASSERT_EQ(res.status, ReadStatus::kOk) << res.error;
+  EXPECT_EQ(res.frame, "kept");
+  EXPECT_EQ(conn.client
+                ->read_frame_by(Deadline::after_ms(10000), wake.read_fd())
+                .status,
+            ReadStatus::kWoken);
+  EXPECT_EQ(faults.ops(), 2u);
+  faults.disarm();
 }
 
 // Runs an echo FrameServer on a background thread and exercises it with
