@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "net/client.hpp"
+#include "util/wake_pipe.hpp"
 
 namespace kgdp::fleet {
 
@@ -16,7 +17,7 @@ struct WorkerPool::Worker {
   mutable std::mutex mu;
   // Poked by send, kick and stop; ends the thread's connected read,
   // backoff sleep or parked wait at once.
-  net::WakePipe wake;
+  util::WakePipe wake;
   std::deque<std::string> outbox;  // serialized frames, sent in order
   bool stop = false;
   bool kicked = false;

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 #if defined(__BMI2__)
 #include <immintrin.h>
@@ -678,16 +677,18 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
   const int start0 =
       first_start >= 0 ? first_start : std::countr_zero(starts);
 
-  int* const pos = walk_pos_;
-  Node* const path = walk_path_;
+  // pos[] is only ever read for on-path nodes (allowed & ~rem), each
+  // written when it joins the path, so restarts need not clear it.
+  std::int8_t* const pos = walk_pos_;
+  std::int8_t* const path = walk_path_;
+  auto bit = [](int v) { return std::uint64_t{1} << v; };
   for (int r = 0; r < kRestarts; ++r) {
     // First try the lowest start deterministically; later restarts draw.
     const int start = r == 0 ? start0 : select_bit(starts, rng.next() % ns);
-    std::uint64_t rem = allowed & ~(std::uint64_t{1} << start);
+    std::uint64_t rem = allowed & ~bit(start);
     int len = 1;
     int steps = 0;
-    std::memset(pos, -1, 64 * sizeof(int));
-    path[0] = start;
+    path[0] = static_cast<std::int8_t>(start);
     pos[start] = 0;
 
     auto rotate_at = [&](int w) {
@@ -697,12 +698,12 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
       int hi = len - 1;
       while (lo < hi) {
         std::swap(path[lo], path[hi]);
-        pos[path[lo]] = lo;
-        pos[path[hi]] = hi;
+        pos[path[lo]] = static_cast<std::int8_t>(lo);
+        pos[path[hi]] = static_cast<std::int8_t>(hi);
         ++lo;
         --hi;
       }
-      if (lo == hi) pos[path[lo]] = lo;
+      if (lo == hi) pos[path[lo]] = static_cast<std::int8_t>(lo);
     };
 
     bool dead = false;
@@ -724,15 +725,16 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
             best = w;
           }
         } while (cand);
-        rem &= ~(std::uint64_t{1} << best);
-        path[len] = best;
-        pos[best] = len;
+        rem &= ~bit(best);
+        path[len] = static_cast<std::int8_t>(best);
+        pos[best] = static_cast<std::int8_t>(len);
         ++len;
         if (len < m) continue;
       }
       if (len == m) {
         // Full path: spin-rotate until the endpoint lands in `ends`,
-        // preferring pivots whose successor already is an end.
+        // preferring pivots whose successor already is an end. Pivots
+        // are the endpoint's neighbours short of the last two positions.
         int spins = 0;
         while (spins++ < 4 * m && steps++ < kMaxSteps) {
           const int ep = path[m - 1];
@@ -740,13 +742,8 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
             stack_.assign(path, path + m);
             return true;
           }
-          std::uint64_t nb = rows[ep] & allowed;
-          std::uint64_t elig = 0;
-          while (nb) {
-            const int x = std::countr_zero(nb);
-            nb &= nb - 1;
-            if (pos[x] < m - 2) elig |= std::uint64_t{1} << x;
-          }
+          const std::uint64_t elig =
+              rows[ep] & allowed & ~bit(ep) & ~bit(path[m - 2]);
           if (!elig) {
             dead = true;
             break;
@@ -772,17 +769,11 @@ bool HamiltonianSolver::walk_masked(std::span<const std::uint64_t> adj_rows,
         }
         break;  // spin cap: restart from a fresh start node
       }
-      // Stuck mid-walk: random Pósa rotation (skip the predecessor,
-      // whose rotation is a no-op).
-      const int e2 = path[len - 1];
-      std::uint64_t nb = rows[e2] & allowed;
-      std::uint64_t elig = 0;
-      while (nb) {
-        const int x = std::countr_zero(nb);
-        nb &= nb - 1;
-        const int p = pos[x];
-        if (p >= 0 && p < len - 2) elig |= std::uint64_t{1} << x;
-      }
+      // Stuck mid-walk: random Pósa rotation over the on-path neighbours
+      // of the endpoint e, skipping e and its predecessor (whose rotation
+      // is a no-op).
+      std::uint64_t elig = rows[e] & allowed & ~rem & ~bit(e);
+      if (len >= 2) elig &= ~bit(path[len - 2]);
       if (!elig) break;
       const unsigned c = static_cast<unsigned>(std::popcount(elig));
       rotate_at(select_bit(elig, static_cast<unsigned>(rng.next() % c)));

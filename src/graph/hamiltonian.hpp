@@ -167,8 +167,8 @@ class HamiltonianSolver {
   std::vector<int> posa_pos_;
   std::vector<int> posa_pool_;
   std::vector<std::uint32_t> dp_reach_;  // Held–Karp table (cold path)
-  int walk_pos_[64];   // node -> path position (-1 off-path)
-  Node walk_path_[64];
+  std::int8_t walk_pos_[64] = {};  // node -> position, on-path nodes only
+  std::int8_t walk_path_[64] = {};
   std::uint64_t expansions_ = 0;
   std::uint64_t expansions_total_ = 0;
   std::uint64_t posa_steps_total_ = 0;

@@ -14,7 +14,7 @@
 #include <mutex>
 #include <vector>
 
-#include "net/socket.hpp"
+#include "util/wake_pipe.hpp"
 
 namespace kgdp::net {
 
@@ -71,7 +71,7 @@ class EventLoop {
 
   std::map<int, Entry> entries_;
   std::vector<Timer> timers_;
-  WakePipe wake_;
+  util::WakePipe wake_;
   bool running_ = false;
   bool stop_requested_ = false;
 

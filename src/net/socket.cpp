@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
-#include <cstdio>
 #include <cstring>
 
 namespace kgdp::net {
@@ -236,32 +235,6 @@ bool set_nonblocking(int fd) {
 void set_tcp_nodelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-WakePipe::WakePipe() {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    std::perror("kgdp: wake pipe");
-    std::abort();
-  }
-  read_ = Fd(fds[0]);
-  write_ = Fd(fds[1]);
-  for (const int fd : fds) {
-    set_nonblocking(fd);
-    set_cloexec(fd);
-  }
-}
-
-void WakePipe::poke() const {
-  // A full pipe already guarantees a pending wake; dropping is fine.
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(write_.get(), &byte, 1);
-}
-
-void WakePipe::drain() const {
-  char buf[256];
-  while (::read(read_.get(), buf, sizeof buf) > 0) {
-  }
 }
 
 }  // namespace kgdp::net

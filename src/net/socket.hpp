@@ -87,23 +87,4 @@ void ignore_sigpipe();
 // delayed ACKs for ~40ms stalls per request on loopback.
 void set_tcp_nodelay(int fd);
 
-// Self-pipe for waking a thread blocked in poll(2): poke() from any
-// thread makes read_fd() readable until the owning thread drain()s it.
-// Both ends are non-blocking, so poke() never blocks (a full pipe
-// already holds a pending wake) and drain() never waits. The owner
-// drains *before* it looks at the shared state the poke announces, so
-// a poke that lands after the look is still pending at the next poll.
-// Aborts when the pipe cannot be created.
-class WakePipe {
- public:
-  WakePipe();
-
-  int read_fd() const { return read_.get(); }
-  void poke() const;
-  void drain() const;
-
- private:
-  Fd read_, write_;
-};
-
 }  // namespace kgdp::net

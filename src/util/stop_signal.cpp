@@ -1,36 +1,18 @@
 #include "util/stop_signal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-
 namespace kgdp::util {
 
 StopSignal& StopSignal::instance() {
-  static StopSignal s;
-  return s;
-}
-
-StopSignal::StopSignal() {
-  if (::pipe(pipe_fds_) != 0) {
-    std::perror("kgdp: StopSignal pipe");
-    std::abort();
-  }
-  for (int fd : pipe_fds_) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-    ::fcntl(fd, F_SETFD, ::fcntl(fd, F_GETFD) | FD_CLOEXEC);
-  }
+  // Never destroyed: a signal landing during static destruction must
+  // still find the pipe open.
+  static StopSignal* const s = new StopSignal;
+  return *s;
 }
 
 void StopSignal::handler(int /*signum*/) {
   StopSignal& s = instance();
   s.flag_ = 1;
-  // Non-blocking write: if the pipe is full a wakeup is already pending,
-  // so dropping the byte is fine. write(2) is async-signal-safe.
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(s.pipe_fds_[1], &byte, 1);
+  s.pipe_.poke();
 }
 
 void StopSignal::install() {
@@ -45,12 +27,6 @@ void StopSignal::install() {
 }
 
 void StopSignal::request_stop() { handler(0); }
-
-void StopSignal::drain_pipe() {
-  char buf[64];
-  while (::read(pipe_fds_[0], buf, sizeof buf) > 0) {
-  }
-}
 
 void StopSignal::reset() {
   flag_ = 0;

@@ -1,6 +1,6 @@
 // Process-wide SIGINT/SIGTERM latch on the self-pipe pattern. The
 // handler does only async-signal-safe work (set a sig_atomic_t flag,
-// write(2) one byte to a non-blocking pipe), so both polling callers
+// WakePipe::poke's one non-blocking write(2)), so both polling callers
 // (`kgd_cli campaign run` checks requested() between chunks) and
 // poll(2)-based callers (the kgdd event loop watches fd()) share one
 // implementation. Signal dispositions are process-global state, hence
@@ -8,6 +8,8 @@
 #pragma once
 
 #include <csignal>
+
+#include "util/wake_pipe.hpp"
 
 namespace kgdp::util {
 
@@ -24,7 +26,7 @@ class StopSignal {
 
   // Read end of the self-pipe: becomes readable when a signal fires.
   // Level-triggered until drain() is called.
-  int fd() const { return pipe_fds_[0]; }
+  int fd() const { return pipe_.read_fd(); }
 
   // Programmatic trigger taking the exact signal-handler path; used by
   // tests and by in-process daemon drains.
@@ -35,17 +37,17 @@ class StopSignal {
 
   // Consumes pending pipe bytes without clearing the flag (event loops
   // that want one wakeup per signal burst).
-  void drain_pipe();
+  void drain_pipe() { pipe_.drain(); }
 
  private:
-  StopSignal();
+  StopSignal() = default;
   StopSignal(const StopSignal&) = delete;
   StopSignal& operator=(const StopSignal&) = delete;
 
   static void handler(int signum);
 
   volatile std::sig_atomic_t flag_ = 0;
-  int pipe_fds_[2] = {-1, -1};
+  WakePipe pipe_;
   bool installed_ = false;
 };
 

@@ -21,6 +21,7 @@
 #include "net/framing.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "util/wake_pipe.hpp"
 
 namespace kgdp::net {
 namespace {
@@ -213,7 +214,7 @@ struct RawConnection {
 
 TEST(ClientWake, BufferedFramesAreReturnedBeforeAPendingWake) {
   RawConnection conn("test_net_wake_order");
-  WakePipe wake;
+  util::WakePipe wake;
   conn.write("one\ntwo\n");
   wake.poke();
   // Both frames arrive in one read; each is handed out before the wake.
@@ -234,7 +235,7 @@ TEST(ClientWake, BufferedFramesAreReturnedBeforeAPendingWake) {
 
 TEST(ClientWake, WakeWithoutDataReturnsPromptlyAndLeavesTheNextFrame) {
   RawConnection conn("test_net_wake_idle");
-  WakePipe wake;
+  util::WakePipe wake;
   wake.poke();
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(conn.client
@@ -257,7 +258,7 @@ TEST(ClientWake, WakeWithoutDataReturnsPromptlyAndLeavesTheNextFrame) {
 
 TEST(ClientWake, PartialFrameStraddlingAWakeIsReassembled) {
   RawConnection conn("test_net_wake_partial");
-  WakePipe wake;
+  util::WakePipe wake;
   conn.write("hel");
   wake.poke();
   EXPECT_EQ(conn.client
@@ -274,7 +275,7 @@ TEST(ClientWake, PartialFrameStraddlingAWakeIsReassembled) {
 
 TEST(ClientWake, FaultInjectorSeesOneOpPerInboundFrameAcrossWakes) {
   RawConnection conn("test_net_wake_faults");
-  WakePipe wake;
+  util::WakePipe wake;
   FaultInjector& faults = FaultInjector::instance();
 
   FaultSpec dup;
