@@ -12,7 +12,6 @@
 #include "kgd/labeled_graph.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
-#include "verify/batch_kernels.hpp"
 #include "verify/checker.hpp"
 
 namespace kgdp::bench {
@@ -23,9 +22,7 @@ inline void banner(const std::string& title) {
 
 // Host description embedded in every bench record so the perf trajectory
 // is comparable across runs and machines: CPU model (best-effort from
-// /proc/cpuinfo), logical core count, and the ISA batch kernels this
-// build+CPU can actually run (from the kernel registry, so it reflects
-// compiled-AND-runnable, not just CPUID flags).
+// /proc/cpuinfo) and logical core count.
 inline io::JsonObject machine_info() {
   io::JsonObject m;
   std::string model = "unknown";
@@ -45,13 +42,6 @@ inline io::JsonObject machine_info() {
   m["cpu_model"] = model;
   m["cores"] = static_cast<std::int64_t>(
       std::max(1u, std::thread::hardware_concurrency()));
-  io::JsonArray isa;
-  for (const auto& e : verify::detail::batch_kernel_registry()) {
-    if (e.kernel.isa != verify::detail::KernelIsa::kPortable && e.runnable) {
-      isa.push_back(std::string(verify::detail::isa_name(e.kernel.isa)));
-    }
-  }
-  m["isa_features"] = std::move(isa);
   return m;
 }
 

@@ -164,7 +164,7 @@ int run_instance_table(int n, int k, int max_faults, std::uint64_t chunk,
       r["speedup"] = row.speedup;
       r["leases"] = row.leases;
       r["stolen"] = row.stolen;
-      json_rows->push_back(io::Json(std::move(r)));
+      json_rows->emplace_back(std::move(r));
     }
   }
   return 0;

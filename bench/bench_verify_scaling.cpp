@@ -317,10 +317,9 @@ int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
   const double throughput =
       static_cast<double>(m.result.fault_sets_checked) / m.best_seconds;
   std::printf("X-SOLVER figure-14 G(22,4): %llu fault sets, %.0f ns/solve, "
-              "%.0f fault-sets/s (best of %d, kernel %s w%d %s)\n",
+              "%.0f fault-sets/s (best of %d)\n",
               static_cast<unsigned long long>(m.result.fault_sets_checked),
-              ns_per_solve, throughput, reps, m.result.solver_kernel_name,
-              m.result.solver_kernel_width, m.result.solver_kernel_isa);
+              ns_per_solve, throughput, reps);
 
   std::vector<MtPoint> mt;
   for (const unsigned t : thread_sweep) {
@@ -345,9 +344,6 @@ int run_perf_mode(const std::string& json_path, const std::string& smoke_path,
     fields["solver_walk_hits"] = m.result.solver_walk_hits;
     fields["solver_walk_fallbacks"] = m.result.solver_walk_fallbacks;
     fields["solver_posa_steps"] = m.result.solver_posa_steps;
-    fields["kernel_name"] = std::string(m.result.solver_kernel_name);
-    fields["kernel_width"] = m.result.solver_kernel_width;
-    fields["kernel_isa"] = std::string(m.result.solver_kernel_isa);
     if (!mt.empty()) {
       io::JsonArray rows;
       for (const MtPoint& p : mt) {

@@ -35,10 +35,6 @@ io::Json check_result_to_json(const verify::CheckResult& res) {
   // the walk never ran / no cache was attached).
   o["solver_walk_hits"] = res.solver_walk_hits;
   o["solver_walk_fallbacks"] = res.solver_walk_fallbacks;
-  // Which batch setup kernel actually ran (v6).
-  o["solver_kernel_name"] = std::string(res.solver_kernel_name);
-  o["solver_kernel_width"] = static_cast<std::int64_t>(res.solver_kernel_width);
-  o["solver_kernel_isa"] = std::string(res.solver_kernel_isa);
   o["cache_hits"] = res.cache_hits;
   o["cache_misses"] = res.cache_misses;
   o["cache_inserts"] = res.cache_inserts;

@@ -19,6 +19,13 @@
 #include "util/durable_file.hpp"
 #include "util/log.hpp"
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ and assignment (GCC bug 105329); the string
+// building in this file is ordinary.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp::fleet {
 namespace {
 
@@ -73,7 +80,7 @@ Coordinator::Coordinator(FleetConfig config,
   pool_config.reconnect = config_.reconnect;
   WorkerPool::Callbacks callbacks;
   callbacks.on_connected = [this](int w) { on_connected(w); };
-  callbacks.on_frame = [this](int w, io::Json frame) {
+  callbacks.on_frame = [this](int w, io::Json&& frame) {
     on_frame(w, std::move(frame));
   };
   callbacks.on_down = [this](int w, const std::string& reason,

@@ -27,10 +27,13 @@ namespace kgdp::io {
 // params (`generation`, `refenced`), and their `stats` fleet counters;
 // v6 added `bench_name`/`machine` metadata to BENCH_*.json records, the
 // solver `kernel` block in `stats`/telemetry, and the `mt` thread-sweep
-// rows in BENCH_verify.json.
+// rows in BENCH_verify.json; v7 removed the batch-kernel fields again
+// (`solver_kernel_*` in telemetry and `verify --json`, the `stats`
+// solver `kernel` block, `kernel_*` in BENCH_verify.json rows and
+// `machine.isa_features`) once a single portable kernel remained.
 // Readers stay backward compatible: artifact loaders and the daemon
 // accept any version in [1, kSchemaVersion].
-inline constexpr int kSchemaVersion = 6;
+inline constexpr int kSchemaVersion = 7;
 
 // Thrown by Json::parse on malformed input; `offset` is the byte
 // position the parser rejected.

@@ -6,6 +6,13 @@
 
 #include "graph/dot.hpp"
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ and assignment (GCC bug 105329); the string
+// building in this file is ordinary.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp::kgd {
 
 const char* role_name(Role r) {

@@ -2,6 +2,13 @@
 
 #include <cassert>
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ and assignment (GCC bug 105329); the string
+// building in this file is ordinary.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp::kgd {
 
 SolutionGraph merge_terminals(const SolutionGraph& sg) {

@@ -3,6 +3,13 @@
 #include <cassert>
 #include <string>
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ and assignment (GCC bug 105329); the string
+// building in this file is ordinary.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp::kgd {
 
 SolutionGraph make_g1k(int k) {

@@ -2,33 +2,10 @@
 
 #include <cstdlib>
 
+#include "util/fault_inject.hpp"
 #include "util/log.hpp"
 
 namespace kgdp::net {
-
-namespace {
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-bool parse_prob(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || v < 0.0 || v > 1.0) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 const char* to_string(FaultAction action) {
   switch (action) {
@@ -42,51 +19,13 @@ const char* to_string(FaultAction action) {
 }
 
 std::optional<FaultSpec> FaultSpec::parse(const std::string& text) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) return std::nullopt;
   FaultSpec spec;
-  if (!parse_u64(text.substr(0, colon), &spec.seed)) return std::nullopt;
-  std::size_t pos = colon + 1;
-  while (pos <= text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    std::size_t sep = item.find('@');
-    if (sep != std::string::npos) {
-      const std::string name = item.substr(0, sep);
-      std::uint64_t at = 0;
-      if (!parse_u64(item.substr(sep + 1), &at)) return std::nullopt;
-      const auto idx = static_cast<std::int64_t>(at);
-      if (name == "drop") {
-        spec.drop_at = idx;
-      } else if (name == "dup") {
-        spec.dup_at = idx;
-      } else if (name == "stall") {
-        spec.stall_at = idx;
-      } else if (name == "sever") {
-        spec.sever_at = idx;
-      } else {
-        return std::nullopt;
-      }
-      continue;
-    }
-    sep = item.find('=');
-    if (sep == std::string::npos) return std::nullopt;
-    const std::string name = item.substr(0, sep);
-    double p = 0.0;
-    if (!parse_prob(item.substr(sep + 1), &p)) return std::nullopt;
-    if (name == "drop") {
-      spec.p_drop = p;
-    } else if (name == "dup") {
-      spec.p_dup = p;
-    } else if (name == "stall") {
-      spec.p_stall = p;
-    } else if (name == "sever") {
-      spec.p_sever = p;
-    } else {
-      return std::nullopt;
-    }
+  if (!util::parse_fault_spec(text, &spec.seed,
+                              {{"drop", &spec.drop_at, &spec.p_drop},
+                               {"dup", &spec.dup_at, &spec.p_dup},
+                               {"stall", &spec.stall_at, &spec.p_stall},
+                               {"sever", &spec.sever_at, &spec.p_sever}})) {
+    return std::nullopt;
   }
   return spec;
 }

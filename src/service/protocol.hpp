@@ -5,7 +5,8 @@
 // the fleet `lease`/`lease.release` methods and the `stats` fleet
 // block; v5 added `fleet.join`/`fleet.leave` (elastic membership), the
 // durable-coordinator grant params `generation`/`refenced`, and their
-// `stats` fleet counters — servers still accept v1..v4 requests on the
+// `stats` fleet counters; v6 added the `stats` solver `kernel` block and
+// v7 removed it again — servers still accept v1..v6 requests on the
 // wire).
 //
 // Transport: newline-delimited JSON frames (see docs/service.md for the

@@ -16,7 +16,6 @@
 #include "sim/campaign.hpp"
 #include "util/durable_file.hpp"
 #include "util/log.hpp"
-#include "verify/batch_kernels.hpp"
 
 namespace kgdp::service {
 
@@ -521,15 +520,6 @@ void Service::handle_stats(std::uint64_t conn, const Envelope& env) {
   solver["posa_steps"] = solver_retired_.posa_steps;
   solver["walk_hits"] = solver_retired_.walk_hits;
   solver["walk_fallbacks"] = solver_retired_.walk_fallbacks;
-  // Active batch setup kernel under the daemon's default dispatch —
-  // records what a verify session actually runs (name, lane width, ISA),
-  // including silent fallbacks from widths this build can't execute.
-  const verify::detail::BatchKernel kern = verify::detail::select_batch_kernel(0);
-  io::JsonObject kernel;
-  kernel["name"] = std::string(kern.name);
-  kernel["width"] = static_cast<std::int64_t>(kern.width);
-  kernel["isa"] = std::string(verify::detail::isa_name(kern.isa));
-  solver["kernel"] = io::Json(std::move(kernel));
   body["solver"] = io::Json(std::move(solver));
   // Shared verdict-cache totals (global across sessions, live included:
   // the cache's own counters are atomic). All zero when no cache.

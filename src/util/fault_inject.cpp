@@ -36,50 +36,46 @@ bool parse_prob(const std::string& s, double* out) {
 
 }  // namespace
 
-std::optional<FaultSpec> FaultSpec::parse(const std::string& text) {
+bool parse_fault_spec(const std::string& text, std::uint64_t* seed,
+                      std::initializer_list<FaultSpecAction> actions) {
   const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  FaultSpec spec;
-  if (!parse_u64(text.substr(0, colon), &spec.seed)) return std::nullopt;
+  if (colon == std::string::npos) return false;
+  if (!parse_u64(text.substr(0, colon), seed)) return false;
   std::size_t pos = colon + 1;
   while (pos <= text.size()) {
     std::size_t comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
     const std::string item = text.substr(pos, comma - pos);
     pos = comma + 1;
-    std::size_t sep = item.find('@');
-    if (sep != std::string::npos) {
-      const std::string name = item.substr(0, sep);
-      std::uint64_t at = 0;
-      if (!parse_u64(item.substr(sep + 1), &at)) return std::nullopt;
-      const auto idx = static_cast<std::int64_t>(at);
-      if (name == "crash") {
-        spec.crash_at = idx;
-      } else if (name == "enospc") {
-        spec.enospc_at = idx;
-      } else if (name == "eio") {
-        spec.eio_at = idx;
-      } else if (name == "short") {
-        spec.short_at = idx;
-      } else {
-        return std::nullopt;
-      }
-      continue;
-    }
-    sep = item.find('=');
-    if (sep == std::string::npos) return std::nullopt;
+    const bool positional = item.find('@') != std::string::npos;
+    const std::size_t sep = item.find(positional ? '@' : '=');
+    if (sep == std::string::npos) return false;
     const std::string name = item.substr(0, sep);
-    double p = 0.0;
-    if (!parse_prob(item.substr(sep + 1), &p)) return std::nullopt;
-    if (name == "enospc") {
-      spec.p_enospc = p;
-    } else if (name == "eio") {
-      spec.p_eio = p;
-    } else if (name == "short") {
-      spec.p_short = p;
-    } else {
-      return std::nullopt;
+    const std::string value = item.substr(sep + 1);
+    const FaultSpecAction* action = nullptr;
+    for (const FaultSpecAction& a : actions) {
+      if (name == a.name) action = &a;
     }
+    if (action == nullptr) return false;
+    if (positional) {
+      std::uint64_t at = 0;
+      if (action->at == nullptr || !parse_u64(value, &at)) return false;
+      *action->at = static_cast<std::int64_t>(at);
+    } else if (action->prob == nullptr || !parse_prob(value, action->prob)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<FaultSpec> FaultSpec::parse(const std::string& text) {
+  FaultSpec spec;
+  if (!parse_fault_spec(text, &spec.seed,
+                        {{"crash", &spec.crash_at, nullptr},
+                         {"enospc", &spec.enospc_at, &spec.p_enospc},
+                         {"eio", &spec.eio_at, &spec.p_eio},
+                         {"short", &spec.short_at, &spec.p_short}})) {
+    return std::nullopt;
   }
   return spec;
 }

@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -37,6 +38,22 @@
 #include "util/rng.hpp"
 
 namespace kgdp::util {
+
+// One action name of a "seed:spec" grammar and where its values land:
+// `name@N` stores N in *at, `name=P` stores P (in [0,1]) in *prob. A
+// nullptr target rejects that form for the name.
+struct FaultSpecAction {
+  const char* name;
+  std::int64_t* at;
+  double* prob;
+};
+
+// Parses "seed:item[,item...]" — a decimal seed, then comma-separated
+// `name@N` / `name=P` items over the given actions — into *seed and the
+// action targets. Returns false on any malformed or unknown item. Shared
+// by the I/O injector below and net::FaultInjector.
+bool parse_fault_spec(const std::string& text, std::uint64_t* seed,
+                      std::initializer_list<FaultSpecAction> actions);
 
 struct FaultSpec {
   std::uint64_t seed = 1;

@@ -1,152 +1,72 @@
+// The batch setup kernel. Branchless over lanes so the inner loop
+// vectorizes: a node v is a legal start iff it is a healthy processor
+// with at least one healthy input-terminal neighbor, and symmetrically
+// for ends.
 #include "verify/batch_kernels.hpp"
-
-#include "verify/batch_kernels_impl.hpp"
 
 namespace kgdp::verify::detail {
 
-void batch_setup_w1(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out) {
-  run_batch_setup<1>(rows, n, proc_mask, input_mask, output_mask, fault_masks,
-                     count, out);
-}
-
-void batch_setup_w2(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out) {
-  run_batch_setup<2>(rows, n, proc_mask, input_mask, output_mask, fault_masks,
-                     count, out);
-}
-
-void batch_setup_w4(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out) {
-  run_batch_setup<4>(rows, n, proc_mask, input_mask, output_mask, fault_masks,
-                     count, out);
-}
-
-void batch_setup_w8(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out) {
-  run_batch_setup<8>(rows, n, proc_mask, input_mask, output_mask, fault_masks,
-                     count, out);
-}
-
-void batch_setup_w16(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                     std::uint64_t input_mask, std::uint64_t output_mask,
-                     const std::uint64_t* fault_masks, std::size_t count,
-                     LaneSetup* out) {
-  run_batch_setup<16>(rows, n, proc_mask, input_mask, output_mask, fault_masks,
-                      count, out);
-}
-
-namespace {
-
-bool cpu_has_avx2() {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_avx512f() {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_neon() {
-  // NEON is architecturally mandatory on aarch64; the kernel TU compiles
-  // to a stub everywhere else, so compiled implies runnable.
-#if defined(__aarch64__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-BatchKernelEntry make_entry(BatchSetupFn fn, int width, const char* name,
-                            KernelIsa isa, bool cpu_ok) {
-  BatchKernelEntry e;
-  e.kernel = {fn, width, name, isa};
-  e.compiled = fn != nullptr;
-  e.runnable = e.compiled && cpu_ok;
-  return e;
-}
-
-}  // namespace
-
-const char* isa_name(KernelIsa isa) {
-  switch (isa) {
-    case KernelIsa::kPortable: return "portable";
-    case KernelIsa::kAvx2: return "avx2";
-    case KernelIsa::kAvx512: return "avx512";
-    case KernelIsa::kNeon: return "neon";
-  }
-  return "unknown";
-}
-
-const std::vector<BatchKernelEntry>& batch_kernel_registry() {
-  static const std::vector<BatchKernelEntry> registry = [] {
-    std::vector<BatchKernelEntry> r;
-    r.push_back(make_entry(&batch_setup_w1, 1, "scalar",
-                           KernelIsa::kPortable, true));
-    r.push_back(
-        make_entry(&batch_setup_w2, 2, "w2", KernelIsa::kPortable, true));
-    r.push_back(
-        make_entry(&batch_setup_w4, 4, "w4", KernelIsa::kPortable, true));
-    r.push_back(
-        make_entry(&batch_setup_w8, 8, "w8", KernelIsa::kPortable, true));
-    r.push_back(
-        make_entry(&batch_setup_w16, 16, "w16", KernelIsa::kPortable, true));
-    // ISA kernels in auto-selection preference order. Entries with a
-    // nullptr fn record that this build could not compile the kernel
-    // (wrong target or missing compiler flag) — kept in the table so
-    // dispatch tests can assert the compile-absent contract.
-    r.push_back(make_entry(batch_setup_avx512(), 16, "avx512",
-                           KernelIsa::kAvx512, cpu_has_avx512f()));
-    r.push_back(make_entry(batch_setup_avx2(), 8, "avx2", KernelIsa::kAvx2,
-                           cpu_has_avx2()));
-    r.push_back(make_entry(batch_setup_neon(), 8, "neon", KernelIsa::kNeon,
-                           cpu_has_neon()));
-    return r;
-  }();
-  return registry;
-}
-
-BatchKernel select_batch_kernel(int lanes) {
-  switch (lanes) {
-    case 1: return {&batch_setup_w1, 1, "scalar", KernelIsa::kPortable};
-    case 2: return {&batch_setup_w2, 2, "w2", KernelIsa::kPortable};
-    case 4: return {&batch_setup_w4, 4, "w4", KernelIsa::kPortable};
-    case 8: return {&batch_setup_w8, 8, "w8", KernelIsa::kPortable};
-    case 16: return {&batch_setup_w16, 16, "w16", KernelIsa::kPortable};
-    default: break;  // 0 or invalid: auto
-  }
-  // Auto: widest runnable ISA kernel first (avx512 > avx2 > neon), then
-  // the portable width-4 kernel — the best autovectorization target on
-  // ISA-less hosts. The registry is already in preference order.
-  for (const BatchKernelEntry& e : batch_kernel_registry()) {
-    if (e.kernel.isa != KernelIsa::kPortable && e.runnable) return e.kernel;
-  }
-  return {&batch_setup_w4, 4, "w4", KernelIsa::kPortable};
-}
-
-std::optional<BatchKernel> select_batch_kernel_by_name(std::string_view name) {
-  for (const BatchKernelEntry& e : batch_kernel_registry()) {
-    if (name == e.kernel.name) {
-      if (!e.runnable) return std::nullopt;
-      return e.kernel;
+void batch_setup(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
+                 std::uint64_t input_mask, std::uint64_t output_mask,
+                 const std::uint64_t* fault_masks, std::size_t count,
+                 LaneSetup* out) {
+  constexpr int W = kBatchLanes;
+  std::size_t i = 0;
+  for (; i + W <= count; i += W) {
+    std::uint64_t keep[W], in_ok[W], out_ok[W], starts[W], ends[W];
+    for (int l = 0; l < W; ++l) {
+      const std::uint64_t healthy = ~fault_masks[i + l];
+      keep[l] = proc_mask & healthy;
+      in_ok[l] = input_mask & healthy;
+      out_ok[l] = output_mask & healthy;
+      starts[l] = 0;
+      ends[l] = 0;
+    }
+    for (int v = 0; v < n; ++v) {
+      const std::uint64_t row = rows[v];
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      for (int l = 0; l < W; ++l) {
+        const std::uint64_t has_in =
+            -static_cast<std::uint64_t>((row & in_ok[l]) != 0);
+        const std::uint64_t has_out =
+            -static_cast<std::uint64_t>((row & out_ok[l]) != 0);
+        starts[l] |= keep[l] & bit & has_in;
+        ends[l] |= keep[l] & bit & has_out;
+      }
+    }
+    // Walk-first seeding, still W-wide and branchless: the splitmix seed
+    // is a multiply-add on the fault mask, the first-restart start is
+    // the lowest start bit (x & -x).
+    for (int l = 0; l < W; ++l) {
+      out[i + l] = LaneSetup{keep[l],   in_ok[l],
+                             out_ok[l], starts[l],
+                             ends[l],   walk_seed_mix(fault_masks[i + l]),
+                             starts[l] & (~starts[l] + 1)};
     }
   }
-  return std::nullopt;
+  // Tail lanes, one at a time (same arithmetic, so still bit-identical).
+  for (; i < count; ++i) {
+    const std::uint64_t healthy = ~fault_masks[i];
+    LaneSetup s;
+    s.keep = proc_mask & healthy;
+    s.in_ok = input_mask & healthy;
+    s.out_ok = output_mask & healthy;
+    for (int v = 0; v < n; ++v) {
+      const std::uint64_t row = rows[v];
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      if (s.keep & bit) {
+        if (row & s.in_ok) s.starts |= bit;
+        if (row & s.out_ok) s.ends |= bit;
+      }
+    }
+    s.seed = walk_seed_mix(fault_masks[i]);
+    s.start_bit = s.starts & (~s.starts + 1);
+    out[i] = s;
+  }
 }
+
+const char* isa_name(KernelIsa) { return "portable"; }
+
+BatchKernel select_batch_kernel(int) { return {}; }
 
 }  // namespace kgdp::verify::detail

@@ -3,20 +3,13 @@
 // healthy-processor set, the legal start/end endpoint masks, the walk
 // seed, and the first-restart start bit from the BitAdjacency rows — and
 // (b) the per-lane verdict settling. Phase (a) is pure word arithmetic
-// over identical control flow, so it runs W fault masks per pass with the
-// lane loop unrolled W-wide: the portable kernels below auto-vectorize,
-// and separate per-ISA translation units provide AVX2 (-mavx2, width 8),
-// AVX-512 (-mavx512f, width 16) and NEON (aarch64, width 8)
-// instantiations selected at runtime. All kernels compute bit-identical
-// LaneSetup values — width and ISA choice can never change a verdict —
-// so tests force each registered kernel and diff the streams.
+// over identical control flow, so batch_setup() runs kBatchLanes fault
+// masks per pass with the lane loop unrolled that wide; the portable
+// body auto-vectorizes at the library's baseline flags.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
-#include <vector>
 
 namespace kgdp::verify::detail {
 
@@ -39,94 +32,44 @@ struct LaneSetup {
 
 // Walk seed derived purely from the fault mask (splitmix-style mix), so a
 // given (graph, fault set) always walks the same way regardless of batch
-// width, ISA, chunking or thread schedule — verdict determinism depends
-// on it. Shared by every kernel and by the scalar verdict path.
+// boundaries, chunking or thread schedule — verdict determinism depends
+// on it. Shared by the kernel and by the scalar verdict path.
 inline std::uint64_t walk_seed_mix(std::uint64_t fault_mask) {
   return fault_mask * 0x9e3779b97f4a7c15ULL + 0x243f6a8885a308d3ULL;
 }
 
+// Fault masks the kernel processes per unrolled pass.
+inline constexpr int kBatchLanes = 16;
+
 // Fills out[0..count) from fault_masks[0..count) against the rows of an
 // n-node (n <= 64) graph with the given role masks. Tail lanes (count
-// not a multiple of the kernel width) are handled internally.
+// not a multiple of kBatchLanes) run one at a time through the same
+// arithmetic, so every lane's LaneSetup is the same whatever its
+// position in the batch.
+void batch_setup(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
+                 std::uint64_t input_mask, std::uint64_t output_mask,
+                 const std::uint64_t* fault_masks, std::size_t count,
+                 LaneSetup* out);
+
+// perfbench/ (frozen with the benchmark) is the only reason the names
+// below exist: it records select_batch_kernel(0)'s name, width and ISA
+// and calls its fn (test_sweep_counters mirrors that replay). Drop them
+// with the next benchmark change.
 using BatchSetupFn = void (*)(const std::uint64_t* rows, int n,
                               std::uint64_t proc_mask,
                               std::uint64_t input_mask,
                               std::uint64_t output_mask,
                               const std::uint64_t* fault_masks,
                               std::size_t count, LaneSetup* out);
-
-// Portable kernels, one per lane width.
-void batch_setup_w1(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out);
-void batch_setup_w2(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out);
-void batch_setup_w4(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out);
-void batch_setup_w8(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                    std::uint64_t input_mask, std::uint64_t output_mask,
-                    const std::uint64_t* fault_masks, std::size_t count,
-                    LaneSetup* out);
-void batch_setup_w16(const std::uint64_t* rows, int n, std::uint64_t proc_mask,
-                     std::uint64_t input_mask, std::uint64_t output_mask,
-                     const std::uint64_t* fault_masks, std::size_t count,
-                     LaneSetup* out);
-
-// Per-ISA compiled instantiations, or nullptr when the build could not
-// compile them (wrong target architecture or a compiler without the
-// flag). Returning nullptr is how a compile-time-absent kernel reports
-// itself; runnability on the current CPU is a separate, runtime question
-// (batch_kernel_registry below).
-BatchSetupFn batch_setup_avx2();    // -mavx2, width 8
-BatchSetupFn batch_setup_avx512();  // -mavx512f, width 16
-BatchSetupFn batch_setup_neon();    // aarch64 NEON intrinsics, width 8
-
-// Instruction-set family a kernel was compiled for. Portable kernels run
-// anywhere; the others additionally need CPU support at runtime.
-enum class KernelIsa : std::uint8_t { kPortable, kAvx2, kAvx512, kNeon };
-
+enum class KernelIsa : std::uint8_t { kPortable };
 const char* isa_name(KernelIsa isa);
-
-// A selected kernel plus its effective width, a display name, and its
-// ISA family — the name/width/isa triple is what stats, telemetry and
-// bench records surface so runs always record which kernel actually ran.
 struct BatchKernel {
-  BatchSetupFn fn = nullptr;
-  int width = 1;
-  const char* name = "scalar";
+  BatchSetupFn fn = &batch_setup;
+  int width = kBatchLanes;
+  const char* name = "w16";
   KernelIsa isa = KernelIsa::kPortable;
 };
-
-// One registry row per kernel the dispatcher knows about, including ones
-// this build could not compile (fn == nullptr, compiled == false) — the
-// dispatch test sweeps the full table. `runnable` is the runtime answer:
-// compiled into this binary AND executable on this CPU.
-struct BatchKernelEntry {
-  BatchKernel kernel;
-  bool compiled = false;
-  bool runnable = false;
-};
-
-// Every kernel slot, portable widths first, then ISA kernels in
-// auto-selection preference order (avx512, avx2, neon).
-const std::vector<BatchKernelEntry>& batch_kernel_registry();
-
-// Runtime dispatch. `lanes` forces a portable width (1, 2, 4, 8, 16 —
-// the differential fuzz sweeps these); 0 = auto, which picks the widest
-// runnable ISA kernel (AVX-512, then AVX2, then NEON) and the portable
-// width-4 kernel otherwise. Invalid widths fall back to auto; the
-// returned BatchKernel records what was actually selected, and callers
-// (solver -> CheckResult -> stats/telemetry) surface it.
+// Returns the one kernel; the argument is ignored.
 BatchKernel select_batch_kernel(int lanes);
-
-// Forced selection by registry name ("w8", "avx512", ...). Returns the
-// kernel only when it is runnable here; nullopt otherwise (unknown name,
-// not compiled, or CPU lacks the ISA). Test/bench hook.
-std::optional<BatchKernel> select_batch_kernel_by_name(std::string_view name);
 
 }  // namespace kgdp::verify::detail

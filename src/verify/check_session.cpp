@@ -79,7 +79,6 @@ SolverOptions solver_options(const CheckOptions& opts) {
   // materialisation keeps the steady-state solve path allocation-free
   // (and routes solves through the walk-first verdict core).
   s.want_pipeline = false;
-  s.batch_lanes = opts.lanes;
   return s;
 }
 
@@ -630,12 +629,6 @@ CheckResult CheckSession::result() const {
   res.cache_misses = cache_misses_;
   res.cache_inserts = cache_inserts_;
   res.cache_evictions = cache_evictions_;
-  if (!workers_.empty()) {
-    const detail::BatchKernel& k = workers_.front()->solver.kernel();
-    res.solver_kernel_name = k.name;
-    res.solver_kernel_width = k.width;
-    res.solver_kernel_isa = detail::isa_name(k.isa);
-  }
   if (req_.mode == CheckMode::kExhaustive) {
     res.orbits_pruned = pruned_in_shard_;
     res.automorphism_order = automorphism_order_;

@@ -1,6 +1,5 @@
-// Stepwise checker sessions. The one-shot check_gd_exhaustive /
-// check_gd_sampled calls are folded into a single CheckRequest resolved
-// by CheckSession, which advances the underlying sweep in bounded work
+// Stepwise checker sessions. Every check is a CheckRequest resolved by
+// CheckSession, which advances the underlying sweep in bounded work
 // chunks so callers get progress, checkpoint/resume, and deterministic
 // range sharding on top of the exact same quantifier:
 //

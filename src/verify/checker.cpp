@@ -1,8 +1,6 @@
 // One-shot resolution of CheckRequests. The session object (see
 // check_session.hpp) owns the actual sweep; run_check runs an equivalent
-// single-shard session to completion, and the deprecated check_gd_*
-// shims build the obvious requests, so legacy callers observe exactly
-// the pre-session behaviour.
+// single-shard session to completion.
 #include "verify/checker.hpp"
 
 #include "verify/check_session.hpp"
@@ -13,17 +11,6 @@ CheckResult run_check(const kgd::SolutionGraph& sg, const CheckRequest& req) {
   CheckSession session(sg, req);
   session.run();
   return session.result();
-}
-
-CheckResult check_gd_exhaustive(const kgd::SolutionGraph& sg, int max_faults,
-                                const CheckOptions& opts) {
-  return run_check(sg, CheckRequest::exhaustive(max_faults, opts));
-}
-
-CheckResult check_gd_sampled(const kgd::SolutionGraph& sg, int max_faults,
-                             std::uint64_t samples, std::uint64_t seed,
-                             const CheckOptions& opts) {
-  return run_check(sg, CheckRequest::sampled(max_faults, samples, seed, opts));
 }
 
 }  // namespace kgdp::verify

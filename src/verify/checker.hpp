@@ -70,12 +70,6 @@ struct CheckResult {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_inserts = 0;
   std::uint64_t cache_evictions = 0;
-  // Batch setup kernel the session's solvers selected (identical across
-  // workers — dispatch is deterministic per process). Records what
-  // actually ran, including silent fallbacks from invalid lane widths.
-  const char* solver_kernel_name = "scalar";
-  int solver_kernel_width = 1;
-  const char* solver_kernel_isa = "portable";
 };
 
 // Symmetry handling for the exhaustive checker.
@@ -103,10 +97,6 @@ struct CheckOptions {
   // counterexample (visible in the solver work counters only), like the
   // work-stealing parallel sweep.
   std::uint32_t batch = 64;
-  // Lane width for the batch setup kernel: 1/2/4/8/16 force a portable
-  // width, 0 = auto (widest of AVX-512/AVX2/NEON the build and CPU
-  // support). Any width is bit-identical; perf knob only.
-  int lanes = 0;
   // Optional shared orbit-canonical verdict cache (owned by the caller;
   // must outlive the session). Consulted by sampled sessions and by the
   // batched exhaustive sweep so isomorphic instances are never re-solved
@@ -195,16 +185,5 @@ struct CheckRequest {
 // Resolves a request to completion on the calling thread(s): equivalent
 // to constructing a CheckSession and running it to done().
 CheckResult run_check(const kgd::SolutionGraph& sg, const CheckRequest& req);
-
-// Legacy one-shot wrappers, kept as shims over run_check for
-// out-of-tree callers; in-repo code uses run_check/CheckSession.
-[[deprecated("build a CheckRequest and call verify::run_check")]]
-CheckResult check_gd_exhaustive(const kgd::SolutionGraph& sg, int max_faults,
-                                const CheckOptions& opts = {});
-
-[[deprecated("build a CheckRequest and call verify::run_check")]]
-CheckResult check_gd_sampled(const kgd::SolutionGraph& sg, int max_faults,
-                             std::uint64_t samples, std::uint64_t seed,
-                             const CheckOptions& opts = {});
 
 }  // namespace kgdp::verify

@@ -9,23 +9,8 @@ namespace kgdp::verify {
 using graph::Node;
 using kgd::Role;
 
-namespace {
-
-// Resolves the configured kernel: an explicit name (test/bench hook)
-// wins when it is runnable here, otherwise the width/auto dispatch.
-detail::BatchKernel resolve_kernel(const SolverOptions& opts) {
-  if (opts.batch_kernel != nullptr) {
-    if (auto k = detail::select_batch_kernel_by_name(opts.batch_kernel)) {
-      return *k;
-    }
-  }
-  return detail::select_batch_kernel(opts.batch_lanes);
-}
-
-}  // namespace
-
 PipelineSolver::PipelineSolver(SolverOptions opts)
-    : opts_(opts), ham_(opts.ham), kernel_(resolve_kernel(opts)) {}
+    : opts_(opts), ham_(opts.ham) {}
 
 template <class Search>
 auto PipelineSolver::counted(Search&& search) {
@@ -148,9 +133,9 @@ void PipelineSolver::solve_batch(const SolutionGraph& sg,
   ++ctr_.rebuilds;
   ctr_.patches += fault_masks.size() - 1;
   lane_setup_.resize(fault_masks.size());
-  kernel_.fn(adj_.rows64().data(), bound_nodes_, proc_mask_, input_mask_,
-             output_mask_, fault_masks.data(), fault_masks.size(),
-             lane_setup_.data());
+  detail::batch_setup(adj_.rows64().data(), bound_nodes_, proc_mask_,
+                      input_mask_, output_mask_, fault_masks.data(),
+                      fault_masks.size(), lane_setup_.data());
   for (std::size_t i = 0; i < fault_masks.size(); ++i) {
     out_status[i] = solve_lane(lane_setup_[i], fault_masks[i]);
   }
@@ -214,8 +199,8 @@ SolveStatus PipelineSolver::solve_lane(const detail::LaneSetup& lane,
 SolveOutcome PipelineSolver::solve_fast() {
   if (!opts_.want_pipeline) {
     detail::LaneSetup lane;
-    detail::batch_setup_w1(adj_.rows64().data(), bound_nodes_, proc_mask_,
-                           input_mask_, output_mask_, &fault_mask_, 1, &lane);
+    detail::batch_setup(adj_.rows64().data(), bound_nodes_, proc_mask_,
+                        input_mask_, output_mask_, &fault_mask_, 1, &lane);
     return {solve_lane(lane, fault_mask_), std::nullopt};
   }
   ++ctr_.solves;

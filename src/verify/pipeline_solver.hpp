@@ -23,11 +23,11 @@
 //     used at chunk boundaries and on discontinuities.
 //   * solve_batch() — lane-parallel verdict mode: the per-fault-set
 //     setup (healthy masks, endpoint sets, walk seed and first-restart
-//     start) for a whole run of fault masks is computed in one pass by a
-//     width-templated kernel (portable, AVX2, AVX-512 or NEON, selected
-//     at runtime), then each lane is settled by a walk-first verdict
-//     core that certifies heuristic positives and falls back to the
-//     exact search on misses.
+//     start) for a whole run of fault masks is computed in one pass by
+//     one portable kernel unrolled 16 lanes wide (batch_kernels.hpp),
+//     then each lane is settled by a walk-first verdict core that
+//     certifies heuristic positives and falls back to the exact search
+//     on misses.
 //   * perf counters — solves, patches vs rebuilds, Hamiltonian search
 //     nodes, Pósa steps, walk hits vs fallbacks and retained scratch
 //     bytes, surfaced through the checker, campaign telemetry and kgdd
@@ -77,16 +77,6 @@ struct SolverOptions {
   // but the interior path differs from the deterministic search's, which
   // is why pipeline-producing solves keep the classic engine.
   bool want_pipeline = true;
-  // Lane width for solve_batch's setup kernel: 1/2/4/8/16 force a
-  // portable width, 0 picks the widest runnable ISA kernel (AVX-512,
-  // AVX2, NEON — see select_batch_kernel). Any width computes
-  // bit-identical setups; this is a perf knob only.
-  int batch_lanes = 0;
-  // Force a specific registry kernel by name ("w16", "avx512", ...);
-  // wins over batch_lanes when the kernel is runnable here, otherwise
-  // falls back to the batch_lanes dispatch. Test/bench hook; nullptr
-  // (the default) means dispatch normally.
-  const char* batch_kernel = nullptr;
 };
 
 // Monotone per-solver counters (reset_counters() zeroes them). Patches
@@ -123,7 +113,7 @@ class PipelineSolver {
 
   // Lane-parallel batch solve (verdict-only; <= 64-node graphs). Derives
   // the per-lane healthy/endpoint setups for all fault masks in one
-  // kernel pass (width per SolverOptions::batch_lanes), then settles each
+  // kernel pass (detail::batch_setup), then settles each
   // lane through the shared verdict core. Verdicts are bit-identical to
   // calling solve_faults() on each mask with want_pipeline off, and the
   // batch counts as one rebuild plus count-1 patches, preserving the
@@ -141,10 +131,6 @@ class PipelineSolver {
 
   std::uint64_t ham_expansions() const { return ham_.expansions(); }
 
-  // The batch setup kernel this solver selected (name/width/ISA), for
-  // stats, telemetry and bench records.
-  const detail::BatchKernel& kernel() const { return kernel_; }
-
  private:
   bool bind_if_needed(const SolutionGraph& sg);
   SolveOutcome solve_fast();
@@ -161,7 +147,6 @@ class PipelineSolver {
 
   SolverOptions opts_;
   graph::HamiltonianSolver ham_;
-  detail::BatchKernel kernel_;
 
   // Bound-graph view (rebuilt when the graph identity changes).
   const SolutionGraph* bound_ = nullptr;

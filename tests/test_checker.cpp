@@ -145,38 +145,5 @@ TEST(Checker, CompleteDesignIsGd) {
   EXPECT_TRUE(res.holds);
 }
 
-// The legacy entry points are frozen shims over CheckRequest/run_check;
-// until they are removed they must answer bit-identically on every
-// deterministic field.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Checker, DeprecatedShimsMatchRunCheckBitIdentically) {
-  const auto compare = [](const CheckResult& a, const CheckResult& b) {
-    EXPECT_EQ(a.holds, b.holds);
-    EXPECT_EQ(a.exhaustive, b.exhaustive);
-    EXPECT_EQ(a.fault_sets_checked, b.fault_sets_checked);
-    EXPECT_EQ(a.fault_sets_solved, b.fault_sets_solved);
-    EXPECT_EQ(a.orbits_pruned, b.orbits_pruned);
-    EXPECT_EQ(a.solver_unknowns, b.solver_unknowns);
-    EXPECT_EQ(a.counterexample.has_value(), b.counterexample.has_value());
-    if (a.counterexample.has_value() && b.counterexample.has_value()) {
-      EXPECT_EQ(a.counterexample->to_string(), b.counterexample->to_string());
-    }
-  };
-
-  const auto sg = kgd::build_solution(6, 2);
-  ASSERT_TRUE(sg.has_value());
-  compare(check_gd_exhaustive(*sg, 2), run_check(*sg, CheckRequest::exhaustive(2)));
-  compare(check_gd_sampled(*sg, 3, 200, /*seed=*/7),
-          run_check(*sg, CheckRequest::sampled(3, 200, /*seed=*/7)));
-
-  // Options pass through the shim unchanged.
-  CheckOptions opts;
-  opts.prune = PruneMode::kOff;
-  compare(check_gd_exhaustive(*sg, 2, opts),
-          run_check(*sg, CheckRequest::exhaustive(2, opts)));
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace kgdp::verify

@@ -13,6 +13,12 @@
 #include "verify/checker.hpp"
 #include "verify/pipeline_solver.hpp"
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ (GCC bug 105329), here in a node-name lookup.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp {
 namespace {
 

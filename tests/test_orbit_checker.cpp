@@ -137,7 +137,9 @@ TEST(OrbitChecker, OrbitSizesTileTheFaultSpace) {
     std::uint64_t prev_rep = 0;
     for (std::uint64_t i = 0; i < orbits.num_orbits(); ++i) {
       sum += orbits.orbit_size(i);
-      if (i > 0) EXPECT_GT(orbits.rep_index(i), prev_rep) << sg->name();
+      if (i > 0) {
+        EXPECT_GT(orbits.rep_index(i), prev_rep) << sg->name();
+      }
       prev_rep = orbits.rep_index(i);
     }
     EXPECT_EQ(sum, plain.total()) << sg->name();

@@ -11,6 +11,13 @@
 #include "util/rng.hpp"
 #include "verify/pipeline_solver.hpp"
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ (GCC bug 105329), here in the name building of
+// gtest's parameterized-test macros.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp {
 namespace {
 

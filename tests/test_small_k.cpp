@@ -6,6 +6,13 @@
 #include "verify/checker.hpp"
 #include "verify/optimality.hpp"
 
+// GCC 12 reports -Wrestrict false positives inside libstdc++'s inlined
+// std::string operator+ (GCC bug 105329), here in the name building of
+// gtest's parameterized-test macros.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 namespace kgdp::kgd {
 namespace {
 

@@ -1,11 +1,12 @@
 // Differential fuzz for the lane-parallel batch solver: random fault-set
 // batches on real construction instances, checked bit-for-bit against
 // find_pipeline_reference and against the unbatched delta-stream path,
-// across every kernel lane width and around batch-size boundaries.
+// around the batch kernel's lane-width boundaries.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bit_adjacency.hpp"
@@ -54,29 +55,10 @@ std::uint64_t random_mask(util::Rng& rng, int n, int max_size) {
   return mask;
 }
 
-SolverOptions verdict_options(int lanes = 0) {
+SolverOptions verdict_options() {
   SolverOptions o;
   o.want_pipeline = false;
-  o.batch_lanes = lanes;
   return o;
-}
-
-SolverOptions named_kernel_options(const char* name) {
-  SolverOptions o;
-  o.want_pipeline = false;
-  o.batch_kernel = name;
-  return o;
-}
-
-// Every registry kernel runnable on this build+CPU, by name — the ISA
-// sweep exercises AVX2/AVX-512/NEON wherever they can actually execute
-// and silently narrows elsewhere (CI's compile-only runners).
-std::vector<const char*> runnable_kernel_names() {
-  std::vector<const char*> names;
-  for (const auto& e : detail::batch_kernel_registry()) {
-    if (e.runnable) names.push_back(e.kernel.name);
-  }
-  return names;
 }
 
 TEST(BatchFuzz, AllLaneWidthsMatchReferenceOnRandomBatches) {
@@ -87,8 +69,8 @@ TEST(BatchFuzz, AllLaneWidthsMatchReferenceOnRandomBatches) {
     const int nodes = sg->num_nodes();
     ASSERT_LE(nodes, 64);
 
-    // One shared batch of random masks; every width must agree with the
-    // reference (and therefore with every other width).
+    // One batch of random masks (96 = six full 16-lane passes); every
+    // verdict must agree with the reference.
     std::vector<std::uint64_t> masks;
     for (int i = 0; i < 96; ++i) {
       masks.push_back(random_mask(rng, nodes, k + 2));
@@ -99,31 +81,13 @@ TEST(BatchFuzz, AllLaneWidthsMatchReferenceOnRandomBatches) {
           find_pipeline_reference(*sg, mask_fault_set(*sg, m)).status);
     }
 
-    for (int lanes : {1, 2, 4, 8, 16, 0}) {
-      PipelineSolver solver(verdict_options(lanes));
-      std::vector<SolveStatus> got(masks.size(), SolveStatus::kUnknown);
-      solver.solve_batch(*sg, masks, got);
-      for (std::size_t i = 0; i < masks.size(); ++i) {
-        EXPECT_EQ(got[i], expected[i])
-            << "n=" << n << " k=" << k << " lanes=" << lanes << " slot=" << i
-            << " mask=" << masks[i];
-        EXPECT_NE(got[i], SolveStatus::kUnknown);
-      }
-    }
-
-    // Same batch through every runnable ISA kernel, forced by name:
-    // AVX2/AVX-512 on capable x86-64, NEON on aarch64. Bit-identical to
-    // the reference like the portable widths above.
-    for (const char* name : runnable_kernel_names()) {
-      PipelineSolver solver(named_kernel_options(name));
-      ASSERT_STREQ(solver.kernel().name, name);
-      std::vector<SolveStatus> got(masks.size(), SolveStatus::kUnknown);
-      solver.solve_batch(*sg, masks, got);
-      for (std::size_t i = 0; i < masks.size(); ++i) {
-        EXPECT_EQ(got[i], expected[i])
-            << "n=" << n << " k=" << k << " kernel=" << name << " slot=" << i
-            << " mask=" << masks[i];
-      }
+    PipelineSolver solver(verdict_options());
+    std::vector<SolveStatus> got(masks.size(), SolveStatus::kUnknown);
+    solver.solve_batch(*sg, masks, got);
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i])
+          << "n=" << n << " k=" << k << " slot=" << i << " mask=" << masks[i];
+      EXPECT_NE(got[i], SolveStatus::kUnknown);
     }
   }
 }
@@ -134,8 +98,8 @@ TEST(BatchFuzz, BatchBoundariesAndTailsMatchUnbatchedStream) {
   ASSERT_TRUE(sg);
   const int nodes = sg->num_nodes();
 
-  // Batch sizes straddling every kernel width multiple plus ragged
-  // tails: 1..9, W-1 / W / W+1 for the widest kernel, and a large run.
+  // Batch sizes straddling kBatchLanes multiples plus ragged tails:
+  // 1..9, W-1 / W / W+1, and 4W-1 / 4W / 4W+1.
   for (const std::size_t count :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
         std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
@@ -221,24 +185,22 @@ TEST(BatchFuzz, BatchCountersPreserveSolveIdentity) {
   EXPECT_LE(c.walk_hits + c.walk_fallbacks, c.solves);
 }
 
-TEST(BatchFuzz, KernelSelectionHonoursForcedWidths) {
-  for (int lanes : {1, 2, 4, 8, 16}) {
+TEST(BatchFuzz, CompatKernelIsTheOneKernel) {
+  // select_batch_kernel survives only for perfbench: whatever width it
+  // is asked for, it hands back the one portable kernel.
+  for (int lanes : {0, 1, 4, 8, 16}) {
     const detail::BatchKernel k = detail::select_batch_kernel(lanes);
-    EXPECT_EQ(k.width, lanes);
+    EXPECT_EQ(k.fn, &detail::batch_setup);
+    EXPECT_EQ(k.width, detail::kBatchLanes);
     EXPECT_EQ(k.isa, detail::KernelIsa::kPortable);
-    ASSERT_NE(k.fn, nullptr);
   }
-  const detail::BatchKernel auto_kernel = detail::select_batch_kernel(0);
-  ASSERT_NE(auto_kernel.fn, nullptr);
-  EXPECT_GE(auto_kernel.width, 4);
 }
 
 TEST(BatchFuzz, LaneSetupCarriesWalkSeedAndStartBit) {
-  // Every kernel (portable widths and runnable ISA kernels alike) must
-  // fill the lane's walk seed and first-restart start bit exactly as the
-  // scalar definition does — these feed the walk, so a mismatch would
-  // change verdict streams. Drive the raw kernels against the width-1
-  // reference on the same rows and diff every LaneSetup field.
+  // The kernel must fill every LaneSetup field exactly as the scalar
+  // definitions below do — the seed and start bit feed the walk, so a
+  // mismatch would change verdict streams. 67 masks = four full 16-lane
+  // passes plus a 3-lane tail.
   util::Rng rng(0x5eedb17);
   const auto sg = kgd::build_solution(10, 3);
   ASSERT_TRUE(sg);
@@ -247,6 +209,7 @@ TEST(BatchFuzz, LaneSetupCarriesWalkSeedAndStartBit) {
 
   graph::BitAdjacency adj;
   adj.rebuild(sg->graph());
+  const std::span<const std::uint64_t> rows = adj.rows64();
   std::uint64_t proc = 0, in = 0, out_m = 0;
   for (Node v = 0; v < nodes; ++v) {
     const std::uint64_t bit = std::uint64_t{1} << v;
@@ -260,31 +223,35 @@ TEST(BatchFuzz, LaneSetupCarriesWalkSeedAndStartBit) {
   std::vector<std::uint64_t> masks;
   for (int i = 0; i < 67; ++i) masks.push_back(random_mask(rng, nodes, 5));
 
-  std::vector<detail::LaneSetup> ref(masks.size());
-  detail::batch_setup_w1(adj.rows64().data(), nodes, proc, in, out_m,
-                         masks.data(), masks.size(), ref.data());
+  std::vector<detail::LaneSetup> got(masks.size());
+  detail::batch_setup(rows.data(), nodes, proc, in, out_m, masks.data(),
+                      masks.size(), got.data());
   for (std::size_t i = 0; i < masks.size(); ++i) {
-    EXPECT_EQ(ref[i].seed, detail::walk_seed_mix(masks[i]));
-    EXPECT_EQ(ref[i].start_bit, ref[i].starts & (~ref[i].starts + 1));
-  }
-
-  for (const auto& e : detail::batch_kernel_registry()) {
-    if (!e.runnable) continue;
-    std::vector<detail::LaneSetup> got(masks.size());
-    e.kernel.fn(adj.rows64().data(), nodes, proc, in, out_m, masks.data(),
-                masks.size(), got.data());
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      EXPECT_EQ(got[i].keep, ref[i].keep) << e.kernel.name << " slot " << i;
-      EXPECT_EQ(got[i].in_ok, ref[i].in_ok) << e.kernel.name << " slot " << i;
-      EXPECT_EQ(got[i].out_ok, ref[i].out_ok)
-          << e.kernel.name << " slot " << i;
-      EXPECT_EQ(got[i].starts, ref[i].starts)
-          << e.kernel.name << " slot " << i;
-      EXPECT_EQ(got[i].ends, ref[i].ends) << e.kernel.name << " slot " << i;
-      EXPECT_EQ(got[i].seed, ref[i].seed) << e.kernel.name << " slot " << i;
-      EXPECT_EQ(got[i].start_bit, ref[i].start_bit)
-          << e.kernel.name << " slot " << i;
+    const std::uint64_t healthy = ~masks[i];
+    const std::uint64_t keep = proc & healthy;
+    const std::uint64_t in_ok = in & healthy;
+    const std::uint64_t out_ok = out_m & healthy;
+    // A start (end) is a healthy processor with a healthy input (output)
+    // terminal neighbour.
+    std::uint64_t starts = 0, ends = 0;
+    for (Node v = 0; v < nodes; ++v) {
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      if ((keep & bit) == 0) continue;
+      if ((rows[v] & in_ok) != 0) starts |= bit;
+      if ((rows[v] & out_ok) != 0) ends |= bit;
     }
+    const std::uint64_t seed =
+        masks[i] * 0x9e3779b97f4a7c15ULL + 0x243f6a8885a308d3ULL;
+    const std::uint64_t start_bit =
+        starts == 0 ? 0 : std::uint64_t{1} << std::countr_zero(starts);
+
+    EXPECT_EQ(got[i].keep, keep) << "slot " << i;
+    EXPECT_EQ(got[i].in_ok, in_ok) << "slot " << i;
+    EXPECT_EQ(got[i].out_ok, out_ok) << "slot " << i;
+    EXPECT_EQ(got[i].starts, starts) << "slot " << i;
+    EXPECT_EQ(got[i].ends, ends) << "slot " << i;
+    EXPECT_EQ(got[i].seed, seed) << "slot " << i;
+    EXPECT_EQ(got[i].start_bit, start_bit) << "slot " << i;
   }
 }
 

@@ -48,7 +48,7 @@ int usage() {
       "  build      <n> <k>              construction summary\n"
       "  dot        <n> <k>              DOT to stdout\n"
       "  verify     <n> <k> [--prune=auto|off] [--threads=T] [--json]\n"
-      "                     [--batch=B] [--lanes=0|1|2|4|8|16] [--cache=N]\n"
+      "                     [--batch=B] [--cache=N]\n"
       "                                  exhaustive GD check (--batch=1\n"
       "                                  forces the legacy per-item sweep;\n"
       "                                  --cache sizes a verdict cache)\n"
@@ -163,20 +163,13 @@ int cmd_verify(const kgd::SolutionGraph& sg, int k,
     std::fprintf(stderr, "flag --prune: expected auto|off\n");
     return usage();
   }
-  std::int64_t threads = 0, batch = 0, lanes = 0, cache_entries = 0;
+  std::int64_t threads = 0, batch = 0, cache_entries = 0;
   if (!flags.get_int("threads", 0, 0, 4096, &threads) ||
       !flags.get_int("batch", 64, 1, 1 << 20, &batch) ||
-      !flags.get_int("lanes", 0, 0, 16, &lanes) ||
       !flags.get_int("cache", 0, 0, INT64_MAX, &cache_entries)) {
     return flag_error(flags);
   }
-  if (lanes != 0 && lanes != 1 && lanes != 2 && lanes != 4 && lanes != 8 &&
-      lanes != 16) {
-    std::fprintf(stderr, "flag --lanes: expected 0|1|2|4|8|16\n");
-    return usage();
-  }
   opts.batch = static_cast<std::uint32_t>(batch);
-  opts.lanes = static_cast<int>(lanes);
   std::unique_ptr<verify::VerdictCache> cache;
   if (cache_entries > 0) {
     cache = std::make_unique<verify::VerdictCache>(
@@ -1142,7 +1135,7 @@ int main(int argc, char** argv) {
   util::FlagParser flags;
   if (cmd == "verify") {
     flags.flag("prune").flag("threads").flag("json", /*requires_value=*/false);
-    flags.flag("batch").flag("lanes").flag("cache");
+    flags.flag("batch").flag("cache");
   }
   if (cmd == "route") {
     flags.flag("atlas").flag("no-atlas", /*requires_value=*/false);
